@@ -5,7 +5,7 @@ which box-constrained projected Newton refinement then sharpens to (in the
 noise-free case) machine precision.
 """
 
-from .circle import dynamic_range, hausdorff, separation, wrap, wrap_dist, wrap_sub
+from .circle import hausdorff, separation, wrap, wrap_dist
 from .experiments import (
     ExperimentConfig,
     GradCheckReport,
@@ -15,7 +15,7 @@ from .experiments import (
     run_trial,
     sample_instance,
 )
-from .peaks import PeakConfig, PeakResult, choose_eta, find_peaks
+from .peaks import PeakConfig, PeakResult, find_peaks
 from .refine import (
     BoxConstraint,
     DegenerateDictionaryError,
@@ -30,7 +30,6 @@ from .refine import (
     objective_F,
     project_box,
     reduced_hessian,
-    run_gradient_projection,
     run_newton,
     stationarity_residual,
 )

@@ -15,11 +15,6 @@ def wrap(t):
     return np.mod(t, 1.0)
 
 
-def wrap_sub(a, b):
-    """Subtraction modulo one: (a - b) mod 1, in [0, 1)."""
-    return np.mod(np.asarray(a, dtype=float) - b, 1.0)
-
-
 def wrap_signed(a, b):
     """Signed displacement from b to a, wrapped into (-1/2, 1/2].
 
@@ -53,12 +48,3 @@ def separation(tau) -> float:
     d = wrap_dist(tau[:, None], tau[None, :])
     iu = np.triu_indices(tau.size, k=1)
     return float(d[iu].min())
-
-
-def dynamic_range(alpha) -> float:
-    """Ratio of largest to smallest amplitude magnitude, >= 1."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    mags = np.abs(alpha)
-    if np.any(mags == 0.0):
-        raise ValueError("zero amplitude")
-    return float(mags.max() / mags.min())

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .circle import hausdorff, wrap
-from .peaks import PeakConfig, choose_eta, find_peaks
+from .peaks import PeakConfig, find_peaks
 from .refine import (
     BoxConstraint,
     DegenerateDictionaryError,
@@ -29,7 +29,7 @@ from .refine import (
     run_newton,
 )
 from .slepian import SlepianKernel, build_kernel
-from .spectral import SpikeTrain, add, eval_grid, pointwise_mul, spike_fourier, synth_noise
+from .spectral import SpikeTrain, add, pointwise_mul, spike_fourier, synth_noise
 
 GRAD_CHECK_RTOL = 1e-5
 HESS_CHECK_RTOL = 1e-4
@@ -51,19 +51,12 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     oversample: int = 32
-    # "known_k": the spike count is known, so the greedy scan simply returns
-    # the k largest peaks (eta = 0).  "noise_linf": threshold at twice the
-    # noise sup-norm instead; at desk-scale noise this usually suppresses
-    # every peak, so it is not the default.
-    eta_policy: str = "known_k"
 
     def __post_init__(self):
         if self.sep_min * self.k >= 1.0:
             raise ValueError("spikes do not fit on the circle at this separation")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.eta_policy not in ("known_k", "noise_linf"):
-            raise ValueError(f"unknown eta policy: {self.eta_policy}")
 
 
 @dataclass(frozen=True)
@@ -130,18 +123,13 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, nu: float) -> TrialRecord:
     noise = synth_noise(cfg.f_c, nu, _noise_seed(trial_seed))
     y = add(xhat, noise)
 
-    if nu == 0.0 or cfg.eta_policy == "known_k":
-        eta = 0.0
-    else:
-        eta = choose_eta(float(np.abs(eval_grid(noise, cfg.oversample * noise.n)).max()))
-
     k_tilde = 0
     estimate = np.array([])
     tau_init = np.array([])
     try:
         kernel1 = cached_kernel(cfg.f_c, cfg.c1)
-        peaks = find_peaks(y, kernel1, PeakConfig(eta=eta, oversample=cfg.oversample,
-                                                  max_peaks=cfg.k))
+        # The spike count is known, so the scan keeps the k largest peaks (eta = 0).
+        peaks = find_peaks(y, kernel1, PeakConfig(oversample=cfg.oversample, max_peaks=cfg.k))
         k_tilde = peaks.k_tilde
         tau_init = peaks.tau0
         if k_tilde == 0:

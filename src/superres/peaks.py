@@ -67,13 +67,6 @@ def _golden_max(fn, lo: float, hi: float, iters: int = GOLDEN_ITERS) -> float:
     return 0.5 * (a + b)
 
 
-def choose_eta(noise_linf: float) -> float:
-    """Threshold from a known noise sup-norm: twice the noise level."""
-    if noise_linf < 0:
-        raise ValueError("noise_linf must be >= 0")
-    return 2.0 * noise_linf
-
-
 def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResult:
     """Greedy peak selection with neighborhood erasure on the filtered signal."""
     if y.f_c != kernel.f_c:

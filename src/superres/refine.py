@@ -2,16 +2,21 @@
 
 The objective F(rho) = ||(I - P_rho) zhat||^2 measures how much of the
 filtered measurement cannot be explained by kernels placed at rho, with
-amplitudes eliminated by least squares. Its analytic gradient and Hessian
-are evaluated in the frequency domain; quantities that are mathematically
-real are computed in complex arithmetic and checked for imaginary residue
-so that symmetry bugs fail loudly instead of silently.
+amplitudes eliminated by least squares (a variable-projection objective).
+One evaluation at rho builds the dictionary G and its Gram Cholesky factor,
+solves for the amplitudes beta and forms the residual r = zhat - G beta.
+That record is all that F, its gradient and its Hessian read, so the Newton
+loop evaluates each point it visits once, and an accepted line-search
+candidate's record becomes the next iterate's state.
+
+The derivatives are evaluated in the frequency domain; quantities that are
+mathematically real are computed in complex arithmetic and checked for
+imaginary residue so that symmetry bugs fail loudly instead of silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -24,6 +29,8 @@ GRAM_IMAG_RTOL = 1e-10
 BETA_IMAG_RTOL = 1e-9
 GRAD_IMAG_RTOL = 1e-8
 FEAS_TOL = 1e-12
+ARMIJO_CONST = 1e-4
+MAX_BACKTRACKS = 40
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -72,15 +79,7 @@ class BoxConstraint:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    eta_stop: Optional[float] = None  # default 1e-12 * sqrt(K)
-    eps0: Optional[float] = None  # default radius / 2
     max_iter: int = 100
-    armijo_const: float = 1e-4
-    max_backtracks: int = 40
-
-    def __post_init__(self):
-        if not 0.0 < self.armijo_const < 0.5:
-            raise ValueError("armijo_const must lie in (0, 1/2)")
 
 
 @dataclass(frozen=True)
@@ -122,51 +121,52 @@ def least_squares_beta(d: DictionaryMatrix, zhat: Spectrum) -> np.ndarray:
     return cho_solve((d.gram_chol, True), rhs)
 
 
-def objective_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> float:
-    """Residual energy after least-squares elimination of the amplitudes."""
+@dataclass(frozen=True)
+class _Point:
+    """The least-squares state at one position vector: F and its derivatives read it."""
+
+    d: DictionaryMatrix
+    beta: np.ndarray
+    r: np.ndarray  # residual zhat - G beta
+    f: float
+
+
+def _evaluate(rho, kernel: SlepianKernel, zhat: Spectrum) -> _Point:
     d = build_G(rho, kernel)
     beta = least_squares_beta(d, zhat)
     r = zhat.coeffs - d.G @ beta
-    return float(np.vdot(r, r).real)
+    return _Point(d=d, beta=beta, r=r, f=float(np.vdot(r, r).real))
 
 
-def gradient_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
-    d = build_G(rho, kernel)
-    return _gradient(d, kernel, zhat)
+def _ls(kernel: SlepianKernel) -> np.ndarray:
+    """Weights 2 pi i l: d/drho_i of column i of G is -2 pi i l times that column."""
+    return 2j * np.pi * ells(kernel.f_c)
 
 
-def _gradient(d: DictionaryMatrix, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
-    beta = least_squares_beta(d, zhat)
-    r = zhat.coeffs - d.G @ beta
-    lr = (2j * np.pi * ells(kernel.f_c)) * r
-    w = _checked_real(d.G.conj().T @ lr, float(np.linalg.norm(lr)), GRAD_IMAG_RTOL,
+def _gradient(p: _Point, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient and w = Re G^H (2 pi i l r), which the Hessian reuses."""
+    lr = ls * p.r
+    w = _checked_real(p.d.G.conj().T @ lr, float(np.linalg.norm(lr)), GRAD_IMAG_RTOL,
                       "gradient")
-    return -2.0 * beta * w
+    return -2.0 * p.beta * w, w
 
 
-def hessian_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
+def _hessian(p: _Point, ls: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Four-term analytic Hessian of the reduced objective, symmetrized."""
-    d = build_G(rho, kernel)
-    ls = 2j * np.pi * ells(kernel.f_c)
-    beta = least_squares_beta(d, zhat)
-    r = zhat.coeffs - d.G @ beta
-    lr = ls * r
-    l2r = ls * lr
-
+    d = p.d
+    l2r = ls * (ls * p.r)
     scale_g = max(float(np.abs(d.G.conj().T @ (np.abs(ls)[:, None] * np.abs(d.G))).max()), 1.0)
     glg = _checked_real(d.G.conj().T @ (ls[:, None] * d.G), scale_g, GRAD_IMAG_RTOL,
                         "first-derivative Gram")
     gl2g = _checked_real(d.G.conj().T @ (ls[:, None] ** 2 * d.G), scale_g * scale_g,
                          GRAD_IMAG_RTOL, "second-derivative Gram")
-    w1 = _checked_real(d.G.conj().T @ lr, float(np.linalg.norm(lr)), GRAD_IMAG_RTOL,
-                       "gradient")
     w2 = _checked_real(d.G.conj().T @ l2r, float(np.linalg.norm(l2r)), GRAD_IMAG_RTOL,
                        "curvature residual")
 
-    db = np.diag(beta)
+    db = np.diag(p.beta)
     term1 = -2.0 * db @ gl2g @ db
     term2 = -2.0 * db @ np.diag(w2)
-    bracket = db @ glg - np.diag(w1)
+    bracket = db @ glg - np.diag(w)
     term3 = -2.0 * bracket @ cho_solve((d.gram_chol, True), bracket.T)
     h = term1 + term2 + term3
 
@@ -175,6 +175,21 @@ def hessian_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
     if asym > GRAD_IMAG_RTOL * scale:
         raise ValueError("Hessian asymmetry residue exceeds tolerance")
     return 0.5 * (h + h.T)
+
+
+def objective_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> float:
+    """Residual energy after least-squares elimination of the amplitudes."""
+    return _evaluate(rho, kernel, zhat).f
+
+
+def gradient_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
+    return _gradient(_evaluate(rho, kernel, zhat), _ls(kernel))[0]
+
+
+def hessian_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
+    p = _evaluate(rho, kernel, zhat)
+    ls = _ls(kernel)
+    return _hessian(p, ls, _gradient(p, ls)[1])
 
 
 def eps_active_set(rho, box: BoxConstraint, eps: float) -> np.ndarray:
@@ -214,18 +229,18 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
     zhat must already be filtered by the kernel used to build the dictionary.
     """
     tau = wrap(np.atleast_1d(np.asarray(tau0, dtype=float)))
-    k = tau.size
-    eta_stop = cfg.eta_stop if cfg.eta_stop is not None else 1e-12 * np.sqrt(k)
-    eps = cfg.eps0 if cfg.eps0 is not None else box.radius / 2.0
+    eta_stop = 1e-12 * np.sqrt(tau.size)
+    eps = box.radius / 2.0
+    ls = _ls(kernel)
 
-    f_trace = [objective_F(tau, kernel, zhat)]
+    p = _evaluate(tau, kernel, zhat)
+    f_trace = [p.f]
     status = STATUS_MAX_ITER
     iterations = 0
     for _ in range(cfg.max_iter):
         iterations += 1
-        d = build_G(tau, kernel)
-        grad = _gradient(d, kernel, zhat)
-        hess = hessian_F(tau, kernel, zhat)
+        grad, w = _gradient(p, ls)
+        hess = _hessian(p, ls, w)
         active = eps_active_set(tau, box, eps)
         reduced = reduced_hessian(hess, active)
         try:
@@ -242,81 +257,23 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
             break
         eps = min(step_norm, box.radius)
 
-        accepted = None
-        f_cur = f_trace[-1]
-        for m in range(cfg.max_backtracks + 1):
+        for m in range(MAX_BACKTRACKS + 1):
             lam = 2.0**-m
             cand = tau_full if m == 0 else project_box(wrap(tau - lam * v), box)
             disp2 = float(np.sum(wrap_signed(cand, tau) ** 2))
-            f_new = objective_F(cand, kernel, zhat)
-            if f_new - f_cur <= -cfg.armijo_const / lam * disp2:
-                accepted = (cand, f_new)
+            q = _evaluate(cand, kernel, zhat)
+            if q.f - p.f <= -ARMIJO_CONST / lam * disp2:
                 break
-        if accepted is None:
+        else:
             break  # no acceptable step: stalled at numerical floor
-        tau, f_new = accepted
-        f_trace.append(f_new)
+        tau, p = cand, q
+        f_trace.append(p.f)
 
-    d = build_G(tau, kernel)
-    beta = least_squares_beta(d, zhat)
     return SolveReport(
         tau_tilde=tau,
-        beta=beta,
+        beta=p.beta,
         f_trace=np.asarray(f_trace),
-        grad_norm_final=float(np.linalg.norm(_gradient(d, kernel, zhat))),
-        status=status,
-        iterations=iterations,
-        active_set_final=eps_active_set(tau, box, 0.0),
-    )
-
-
-def run_gradient_projection(tau0, kernel: SlepianKernel, zhat: Spectrum,
-                            box: BoxConstraint, step_init: float = 1.0,
-                            max_iter: int = 5000,
-                            eta_stop: Optional[float] = None,
-                            armijo_const: float = 1e-4,
-                            max_backtracks: int = 60) -> SolveReport:
-    """First-order alternative: projected gradient steps with Armijo backtracking."""
-    tau = wrap(np.atleast_1d(np.asarray(tau0, dtype=float)))
-    if eta_stop is None:
-        eta_stop = 1e-12 * np.sqrt(tau.size)
-
-    f_trace = [objective_F(tau, kernel, zhat)]
-    status = STATUS_MAX_ITER
-    iterations = 0
-    step = step_init
-    for _ in range(max_iter):
-        iterations += 1
-        grad = gradient_F(tau, kernel, zhat)
-        trial = project_box(wrap(tau - step * grad), box)
-        if _displacement_norm(trial, tau) <= eta_stop:
-            status = STATUS_CONVERGED
-            break
-
-        accepted = None
-        f_cur = f_trace[-1]
-        delta = step
-        for _ in range(max_backtracks + 1):
-            cand = project_box(wrap(tau - delta * grad), box)
-            disp2 = float(np.sum(wrap_signed(cand, tau) ** 2))
-            f_new = objective_F(cand, kernel, zhat)
-            if disp2 > 0 and f_new - f_cur <= -armijo_const / max(delta / step, 1e-300) * disp2:
-                accepted = (cand, f_new, delta)
-                break
-            delta *= 0.5
-        if accepted is None:
-            break
-        tau, f_new, used = accepted
-        f_trace.append(f_new)
-        step = 2.0 * used  # let the step grow back after cautious iterations
-
-    d = build_G(tau, kernel)
-    beta = least_squares_beta(d, zhat)
-    return SolveReport(
-        tau_tilde=tau,
-        beta=beta,
-        f_trace=np.asarray(f_trace),
-        grad_norm_final=float(np.linalg.norm(gradient_F(tau, kernel, zhat))),
+        grad_norm_final=float(np.linalg.norm(_gradient(p, ls)[0])),
         status=status,
         iterations=iterations,
         active_set_final=eps_active_set(tau, box, 0.0),

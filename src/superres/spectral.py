@@ -9,7 +9,6 @@ zero-padded inverse FFT or pointwise by direct summation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,19 +46,6 @@ class SpikeTrain:
 
     def __len__(self) -> int:
         return self.positions.size
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "positions": list(self.positions),
-                "amplitudes": list(self.amplitudes),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpikeTrain":
-        obj = json.loads(text)
-        return cls(np.asarray(obj["positions"]), np.asarray(obj["amplitudes"]))
 
 
 @dataclass(frozen=True)

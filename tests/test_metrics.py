@@ -1,4 +1,4 @@
-"""Circle metrics: wraparound distance, Hausdorff, separation, dynamic range."""
+"""Circle metrics: wraparound distance, Hausdorff, separation."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superres.circle import (
-    dynamic_range,
     hausdorff,
     separation,
     wrap,
     wrap_dist,
     wrap_signed,
-    wrap_sub,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -33,10 +31,6 @@ class TestWrap:
         assert wrap(1.25) == pytest.approx(0.25)
         assert wrap(-0.25) == pytest.approx(0.75)
         assert wrap(0.0) == 0.0
-
-    def test_wrap_sub_basic(self):
-        assert wrap_sub(0.2, 0.5) == pytest.approx(0.7)
-        assert wrap_sub(0.5, 0.2) == pytest.approx(0.3)
 
     def test_dist_examples(self):
         assert wrap_dist(0.1, 0.9) == pytest.approx(0.2)
@@ -138,28 +132,3 @@ class TestSeparation:
     def test_shift_invariance(self, pts, s):
         assert separation(wrap(pts + s)) == pytest.approx(separation(pts), abs=1e-12)
 
-
-class TestDynamicRange:
-    def test_basic(self):
-        assert dynamic_range([10.0, -1.0, 2.0]) == pytest.approx(10.0)
-
-    def test_equal_magnitudes(self):
-        assert dynamic_range([3.0, -3.0]) == 1.0
-
-    def test_zero_amplitude_raises(self):
-        with pytest.raises(ValueError, match="zero"):
-            dynamic_range([1.0, 0.0])
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=100), min_size=1, max_size=6))
-    def test_at_least_one(self, amps):
-        assert dynamic_range(np.array(amps)) >= 1.0
-
-    @given(
-        st.lists(st.floats(min_value=0.01, max_value=100), min_size=1, max_size=6),
-        st.floats(min_value=0.01, max_value=50),
-    )
-    def test_scaling_invariance(self, amps, gamma):
-        amps = np.array(amps)
-        assert dynamic_range(gamma * amps) == pytest.approx(
-            dynamic_range(amps), rel=1e-9
-        )

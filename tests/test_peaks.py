@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from superres.circle import wrap, wrap_dist
-from superres.peaks import PeakConfig, PeakResult, choose_eta, find_peaks
+from superres.peaks import PeakConfig, PeakResult, find_peaks
 from superres.slepian import build_kernel
 from superres.spectral import SpikeTrain, Spectrum, spike_fourier
 
@@ -25,12 +25,6 @@ class TestConfig:
     def test_negative_eta(self):
         with pytest.raises(ValueError, match="eta"):
             PeakConfig(eta=-0.1)
-
-    def test_choose_eta_doubles_noise_level(self):
-        assert choose_eta(0.3) == pytest.approx(0.6)
-        assert choose_eta(0.0) == 0.0
-        with pytest.raises(ValueError):
-            choose_eta(-1.0)
 
 
 class TestWorkedExample:

@@ -32,10 +32,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(trials=0)
 
-    def test_unknown_eta_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            ExperimentConfig(eta_policy="guess")
-
 
 class TestSampling:
     def test_separation_enforced(self):

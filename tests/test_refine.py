@@ -1,14 +1,22 @@
 """Projected Newton refinement: dictionary, derivatives, projection, solver."""
 
+from typing import Optional
+
 import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
 
-from superres.circle import wrap, wrap_dist
+import superres.refine
+from superres.circle import wrap, wrap_dist, wrap_signed
+from superres.peaks import PeakConfig, find_peaks
 from superres.refine import (
+    STATUS_CONVERGED,
+    STATUS_MAX_ITER,
     BoxConstraint,
     DegenerateDictionaryError,
     NewtonConfig,
+    SolveReport,
+    _displacement_norm,
     build_G,
     eps_active_set,
     gradient_F,
@@ -17,12 +25,11 @@ from superres.refine import (
     objective_F,
     project_box,
     reduced_hessian,
-    run_gradient_projection,
     run_newton,
     stationarity_residual,
 )
-from superres.slepian import build_kernel
-from superres.spectral import SpikeTrain, eval_point, pointwise_mul, spike_fourier
+from superres.slepian import SlepianKernel, build_kernel
+from superres.spectral import Spectrum, SpikeTrain, eval_point, pointwise_mul, spike_fourier
 
 TAU_EXAMPLE = np.array([0.2995, 0.3663, 0.4332, 0.5000, 0.5668, 0.6337, 0.7005])
 ALPHA_EXAMPLE = np.array([10.0, -1.0, 1.0, -3.0, 2.0, -5.0, 2.0])
@@ -43,6 +50,59 @@ def zhat_example(kernel2):
 
 def filtered_spikes(kernel, tau, alpha):
     return pointwise_mul(spike_fourier(SpikeTrain(tau, alpha), F_C), kernel.spectrum())
+
+
+def run_gradient_projection(tau0, kernel: SlepianKernel, zhat: Spectrum,
+                            box: BoxConstraint, step_init: float = 1.0,
+                            max_iter: int = 5000,
+                            eta_stop: Optional[float] = None,
+                            armijo_const: float = 1e-4,
+                            max_backtracks: int = 60) -> SolveReport:
+    """First-order alternative: projected gradient steps with Armijo backtracking."""
+    tau = wrap(np.atleast_1d(np.asarray(tau0, dtype=float)))
+    if eta_stop is None:
+        eta_stop = 1e-12 * np.sqrt(tau.size)
+
+    f_trace = [objective_F(tau, kernel, zhat)]
+    status = STATUS_MAX_ITER
+    iterations = 0
+    step = step_init
+    for _ in range(max_iter):
+        iterations += 1
+        grad = gradient_F(tau, kernel, zhat)
+        trial = project_box(wrap(tau - step * grad), box)
+        if _displacement_norm(trial, tau) <= eta_stop:
+            status = STATUS_CONVERGED
+            break
+
+        accepted = None
+        f_cur = f_trace[-1]
+        delta = step
+        for _ in range(max_backtracks + 1):
+            cand = project_box(wrap(tau - delta * grad), box)
+            disp2 = float(np.sum(wrap_signed(cand, tau) ** 2))
+            f_new = objective_F(cand, kernel, zhat)
+            if disp2 > 0 and f_new - f_cur <= -armijo_const / max(delta / step, 1e-300) * disp2:
+                accepted = (cand, f_new, delta)
+                break
+            delta *= 0.5
+        if accepted is None:
+            break
+        tau, f_new, used = accepted
+        f_trace.append(f_new)
+        step = 2.0 * used  # let the step grow back after cautious iterations
+
+    d = build_G(tau, kernel)
+    beta = least_squares_beta(d, zhat)
+    return SolveReport(
+        tau_tilde=tau,
+        beta=beta,
+        f_trace=np.asarray(f_trace),
+        grad_norm_final=float(np.linalg.norm(gradient_F(tau, kernel, zhat))),
+        status=status,
+        iterations=iterations,
+        active_set_final=eps_active_set(tau, box, 0.0),
+    )
 
 
 class TestBuildG:
@@ -254,12 +314,6 @@ class TestBoxConstraint:
             BoxConstraint(np.array([0.5, 0.51]), 0.01)
 
 
-class TestNewtonConfig:
-    def test_armijo_range(self):
-        with pytest.raises(ValueError, match="armijo"):
-            NewtonConfig(armijo_const=0.7)
-
-
 class TestRunNewton:
     def test_worked_example_machine_precision(self, kernel2, zhat_example):
         kernel1 = build_kernel(F_C, 1.5)
@@ -314,6 +368,28 @@ class TestRunNewton:
         box = BoxConstraint(tau0, SIGMA1)
         report = run_newton(tau0, kernel2, zhat_example, box, NewtonConfig(max_iter=1))
         assert report.iterations == 1
+
+    @pytest.mark.parametrize("start", ["greedy", "offset"])
+    def test_one_dictionary_per_point(self, kernel2, zhat_example, monkeypatch, start):
+        # Every iterate and line-search candidate is evaluated once; neither
+        # start backtracks, so each evaluation is one entry of the trace.
+        if start == "greedy":
+            kernel1 = build_kernel(F_C, 1.5)
+            y = spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), F_C)
+            tau0 = find_peaks(y, kernel1, PeakConfig(max_peaks=7)).tau0
+            box = BoxConstraint(tau0, kernel1.sigma)
+        else:
+            tau0 = wrap(TAU_EXAMPLE + 5e-4)
+            box = BoxConstraint(tau0, SIGMA1)
+        calls = []
+
+        def counted(rho, kernel):
+            calls.append(rho)
+            return build_G(rho, kernel)
+
+        monkeypatch.setattr(superres.refine, "build_G", counted)
+        report = run_newton(tau0, kernel2, zhat_example, box)
+        assert len(calls) == len(report.f_trace)
 
 
 class TestGradientProjection:

@@ -42,12 +42,6 @@ class TestSpikeTrain:
         with pytest.raises(ValueError, match="equal length"):
             SpikeTrain([0.5], [1.0, 2.0])
 
-    def test_json_round_trip(self):
-        x = SpikeTrain([0.2995, 0.7005], [10.0, -5.0])
-        y = SpikeTrain.from_json(x.to_json())
-        assert np.array_equal(x.positions, y.positions)
-        assert np.array_equal(x.amplitudes, y.amplitudes)
-
 
 class TestSpectrum:
     def test_length_check(self):
