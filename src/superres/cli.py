@@ -22,7 +22,7 @@ from .experiments import (
     run_monte_carlo,
 )
 from .peaks import PeakConfig, find_peaks
-from .refine import BoxConstraint, DegenerateDictionaryError, NewtonConfig, run_newton
+from .refine import BoxConstraint, NewtonConfig, run_newton
 from .slepian import build_kernel
 from .spectral import ells, eval_grid, load_spectrum_csv, pointwise_mul
 
@@ -42,8 +42,12 @@ class _Parser(argparse.ArgumentParser):
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            for key, value in json.load(fh).items():
-                setattr(args, key, value)
+            config = json.load(fh)
+        options = set(vars(args)) - {"command", "func", "config"}
+        if not isinstance(config, dict) or not set(config) <= options:
+            sys.stderr.write(f"error: {args.config}: keys must be options of {args.command}\n")
+            raise SystemExit(EXIT_USAGE)
+        vars(args).update(config)
     return args
 
 
@@ -98,7 +102,7 @@ def _cmd_solve(args) -> int:
         zhat = pointwise_mul(y, kernel2.spectrum())
         box = BoxConstraint(peaks.tau0, kernel1.sigma)
         report = run_newton(peaks.tau0, kernel2, zhat, box, NewtonConfig())
-    except (ValueError, DegenerateDictionaryError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
     print(json.dumps({
@@ -206,7 +210,7 @@ def main(argv=None) -> int:
     args = _apply_config(build_parser().parse_args(argv))
     try:
         return args.func(args)
-    except (ValueError, DegenerateDictionaryError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
 

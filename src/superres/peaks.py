@@ -2,9 +2,9 @@
 
 The measurement spectrum is multiplied by the kernel coefficients (circular
 convolution in time), the magnitude of the result is scanned on a fine grid,
-and peaks are selected greedily. After each selection the neighborhood of
-radius 2 sigma around the peak is erased so nearby lobes of the same spike
-cannot be picked again.
+and peaks are selected greedily and polished by Newton steps on its derivative.
+After each selection the neighborhood of radius 2 sigma around the peak is
+erased so nearby lobes of the same spike cannot be picked again.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import numpy as np
 
 from .circle import wrap, wrap_dist
 from .slepian import SlepianKernel
-from .spectral import Spectrum, eval_grid, eval_point, pointwise_mul
+from .spectral import Spectrum, ells, eval_grid, pointwise_mul
 
-GOLDEN_ITERS = 40
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+NEWTON_STEPS = 3  # quadratic convergence: from one grid cell (1/M) to below 1e-12
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,6 @@ class PeakConfig:
 
     eta: float = 0.0  # stop once the residual maximum falls to <= eta
     oversample: int = 32  # grid size M = oversample * N
-    refine: bool = True  # polish each peak off-grid by golden-section search
     max_peaks: Optional[int] = None
 
     def __post_init__(self):
@@ -49,22 +47,22 @@ class PeakResult:
     iterations: int
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = GOLDEN_ITERS) -> float:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = fn(x1)
-    return 0.5 * (a + b)
+def _polish(z: Spectrum, t: float, half_width: float) -> tuple[float, float]:
+    """Newton steps on z' from grid point t, clipped to t -/+ half_width; returns (t, |z(t)|).
+
+    Stops where sign(z) z'' >= 0, since |z| is not concave there.
+    """
+    w = 2j * np.pi * ells(z.f_c)
+    c1 = w * z.coeffs  # z'
+    c2 = w * c1  # z''
+    lo, hi = t - half_width, t + half_width
+    for step in range(NEWTON_STEPS + 1):
+        e = np.exp(w * t)
+        f0, f1, f2 = (np.dot(c, e).real for c in (z.coeffs, c1, c2))
+        if step == NEWTON_STEPS or np.sign(f0) * f2 >= 0.0:
+            break
+        t = min(max(t - f1 / f2, lo), hi)
+    return wrap(t), abs(f0)
 
 
 def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResult:
@@ -75,33 +73,30 @@ def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResul
     z = pointwise_mul(y, kernel.spectrum())
     m = cfg.oversample * y.n
     az = np.abs(eval_grid(z, m))
-    grid = np.arange(m) / m
 
     cap = math.ceil(1.0 / (2.0 * sigma))
     if cfg.max_peaks is not None:
         cap = min(cap, cfg.max_peaks)
 
-    # Only genuine peaks are candidates: a grid point on the monotone skirt
-    # just outside an erased neighborhood is not a local maximum and must not
-    # be selected ahead of a weak but real spike.
-    alive = (az >= np.roll(az, 1)) & (az >= np.roll(az, -1))
+    # Candidates are the grid's local maxima only: a point on the monotone skirt
+    # of an erased neighborhood must not be picked ahead of a weak real spike.
+    # Erasure only removes candidates, so one sort orders every later choice.
+    cand = np.flatnonzero((az >= np.roll(az, 1)) & (az >= np.roll(az, -1)))
+    cand = cand[np.argsort(-az[cand], kind="stable")]  # ties: smallest index first
     tau0: list[float] = []
     values: list[float] = []
     iterations = 0
-    while len(tau0) < cap and alive.any():
+    while len(tau0) < cap and cand.size:
+        idx, cand = cand[0], cand[1:]
         iterations += 1
-        masked = np.where(alive, az, -np.inf)
-        idx = int(np.argmax(masked))  # ties resolve to the smallest index
-        if masked[idx] <= cfg.eta:
+        if az[idx] <= cfg.eta:
             break
-        t = grid[idx]
-        value = az[idx]
-        if cfg.refine:
-            t = wrap(_golden_max(lambda s: abs(eval_point(z, s)), t - 1.0 / m, t + 1.0 / m))
-            value = abs(eval_point(z, t))
+        t, value = _polish(z, idx / m, 1.0 / m)
+        if tau0 and wrap_dist(t, np.asarray(tau0)).min() <= 2.0 * sigma:
+            continue  # the polish slid back onto an earlier pick's lobe
         tau0.append(float(t))
         values.append(float(value))
-        alive &= wrap_dist(grid, t) > 2.0 * sigma
+        cand = cand[wrap_dist(cand / m, t) > 2.0 * sigma]
 
     return PeakResult(
         k_tilde=len(tau0),

@@ -1,12 +1,24 @@
 """Greedy peak initialization: worked example, invariances, erasure soundness."""
 
+import math
+
 import numpy as np
 import pytest
 
 from superres.circle import wrap, wrap_dist
-from superres.peaks import PeakConfig, PeakResult, find_peaks
+from superres.peaks import PeakConfig, PeakResult, _polish, find_peaks
+from superres.refine import BoxConstraint
 from superres.slepian import build_kernel
-from superres.spectral import SpikeTrain, Spectrum, spike_fourier
+from superres.spectral import (
+    SpikeTrain,
+    Spectrum,
+    add,
+    eval_grid,
+    eval_point,
+    pointwise_mul,
+    spike_fourier,
+    synth_noise,
+)
 
 TAU_EXAMPLE = np.array([0.2995, 0.3663, 0.4332, 0.5000, 0.5668, 0.6337, 0.7005])
 ALPHA_EXAMPLE = np.array([10.0, -1.0, 1.0, -3.0, 2.0, -5.0, 2.0])
@@ -83,8 +95,8 @@ class TestInvariances:
     def test_amplitude_scaling_leaves_selection_unchanged(self, kernel50):
         y = spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), 50)
         scaled = Spectrum(50, 3.7 * y.coeffs, real_signal=True)
-        a = find_peaks(y, kernel50, PeakConfig(max_peaks=7, refine=False))
-        b = find_peaks(scaled, kernel50, PeakConfig(max_peaks=7, refine=False))
+        a = find_peaks(y, kernel50, PeakConfig(max_peaks=7))
+        b = find_peaks(scaled, kernel50, PeakConfig(max_peaks=7))
         assert np.array_equal(a.tau0, b.tau0)
         assert np.allclose(b.peak_values, 3.7 * a.peak_values, rtol=1e-9)
 
@@ -100,21 +112,42 @@ class TestInvariances:
         assert np.abs(moved - np.sort(b.tau0)).max() < 1e-6
 
     def test_erasure_soundness(self, kernel50):
-        # returned peaks are pairwise separated by essentially 2 sigma:
-        # grid erasure guarantees it up to one fine-grid cell of polish
+        # returned peaks are pairwise separated by more than 2 sigma, polish
+        # included, so they are valid box centers
         y = spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), 50)
-        cfg = PeakConfig(max_peaks=7)
-        result = find_peaks(y, kernel50, cfg)
-        cell = 1.0 / (cfg.oversample * 101)
+        result = find_peaks(y, kernel50, PeakConfig(max_peaks=7))
         d = wrap_dist(result.tau0[:, None], result.tau0[None, :])
         iu = np.triu_indices(result.k_tilde, k=1)
-        assert d[iu].min() > 2.0 * kernel50.sigma - 2.0 * cell
+        assert d[iu].min() > 2.0 * kernel50.sigma
 
-    def test_refinement_improves_grid_estimate(self, kernel50):
+    @pytest.mark.parametrize("max_peaks", [9, None])
+    def test_polish_onto_earlier_lobe_is_dropped(self, kernel50, max_peaks):
+        # A sidelobe's grid maximum lies just beyond 2 sigma of an earlier
+        # pick, and the polish slides it back to 1.99 sigma; keeping it made
+        # BoxConstraint raise.
+        y = spike_fourier(SpikeTrain([0.0574, 0.2912], [10.6, 0.2]), 50)
+        result = find_peaks(y, kernel50, PeakConfig(max_peaks=max_peaks))
+        d = wrap_dist(result.tau0[:, None], result.tau0[None, :])
+        iu = np.triu_indices(result.k_tilde, k=1)
+        assert d[iu].min() > 2.0 * kernel50.sigma
+        BoxConstraint(result.tau0, kernel50.sigma)
+
+    @pytest.mark.parametrize("oversample", [4, 8, 32])
+    def test_polish_locates_single_spike(self, kernel50, oversample):
         y = spike_fourier(SpikeTrain([0.123456], [1.0]), 50)
-        coarse = find_peaks(y, kernel50, PeakConfig(max_peaks=1, refine=False, oversample=8))
-        fine = find_peaks(y, kernel50, PeakConfig(max_peaks=1, refine=True, oversample=8))
-        assert wrap_dist(fine.tau0[0], 0.123456) <= wrap_dist(coarse.tau0[0], 0.123456)
+        result = find_peaks(y, kernel50, PeakConfig(max_peaks=1, oversample=oversample))
+        assert wrap_dist(result.tau0[0], 0.123456) <= 1e-12
+
+    def test_concavity_guard_returns_grid_point(self, kernel50):
+        # One sigma from a positive spike the filtered signal is positive and
+        # convex, so a Newton step on z' would head away from any maximum.
+        z = pointwise_mul(spike_fourier(SpikeTrain([0.5], [1.0]), 50), kernel50.spectrum())
+        t0, h = 0.5 + kernel50.sigma, 1e-4
+        assert eval_point(z, t0) > 0
+        assert eval_point(z, t0 + h) + eval_point(z, t0 - h) - 2 * eval_point(z, t0) > 0
+        t, value = _polish(z, t0, 1.0 / (32 * 101))
+        assert t == t0
+        assert value == pytest.approx(eval_point(z, t0), rel=1e-12)
 
     def test_result_is_frozen(self, kernel50):
         y = spike_fourier(SpikeTrain([0.5], [1.0]), 50)
@@ -143,3 +176,52 @@ class TestSeededRecovery:
             assert result.k_tilde == k
             match = wrap_dist(np.sort(result.tau0), tau)
             assert match.max() <= sigma, f"trial {trial}"
+
+
+def masked_scan(y, kernel, cfg):
+    """Reference greedy scan: re-mask all M grid points and take the argmax per pick."""
+    sigma = kernel.sigma
+    z = pointwise_mul(y, kernel.spectrum())
+    m = cfg.oversample * y.n
+    az = np.abs(eval_grid(z, m))
+    grid = np.arange(m) / m
+    cap = math.ceil(1.0 / (2.0 * sigma))
+    if cfg.max_peaks is not None:
+        cap = min(cap, cfg.max_peaks)
+    alive = (az >= np.roll(az, 1)) & (az >= np.roll(az, -1))
+    tau0, values, iterations = [], [], 0
+    while len(tau0) < cap and alive.any():
+        iterations += 1
+        masked = np.where(alive, az, -np.inf)
+        idx = int(np.argmax(masked))  # ties resolve to the smallest index
+        if masked[idx] <= cfg.eta:
+            break
+        t, value = _polish(z, grid[idx], 1.0 / m)
+        alive[idx] = False
+        if tau0 and wrap_dist(t, np.asarray(tau0)).min() <= 2.0 * sigma:
+            continue
+        tau0.append(float(t))
+        values.append(float(value))
+        alive &= wrap_dist(grid, t) > 2.0 * sigma
+    return np.asarray(tau0), np.asarray(values), iterations
+
+
+class TestCandidateScan:
+    @pytest.mark.parametrize("nu", [0.0, 0.1])
+    @pytest.mark.parametrize("cfg", [
+        PeakConfig(max_peaks=14),
+        PeakConfig(),
+        PeakConfig(eta=0.05, oversample=8),
+    ], ids=["max_peaks", "eta0_uncapped", "eta_positive"])
+    def test_matches_masked_scan(self, kernel50, nu, cfg):
+        rng = np.random.default_rng(7)
+        for trial in range(10):
+            positions = rng.random(14)
+            amplitudes = rng.standard_normal(14) / np.sqrt(101)
+            y = add(spike_fourier(SpikeTrain(positions, amplitudes), 50),
+                    synth_noise(50, nu, trial))
+            tau0, values, iterations = masked_scan(y, kernel50, cfg)
+            result = find_peaks(y, kernel50, cfg)
+            assert np.array_equal(result.tau0, tau0), f"trial {trial}"
+            assert np.array_equal(result.peak_values, values), f"trial {trial}"
+            assert result.iterations == iterations, f"trial {trial}"

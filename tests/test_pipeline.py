@@ -193,6 +193,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["k_tilde"] == 7
 
+    @pytest.mark.parametrize("config", [{"func": 0}, {"fcc": 20}, ["eta"]],
+                             ids=["internal_name", "typo", "not_an_object"])
+    def test_config_file_rejects_non_options(self, example_csv, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", example_csv, "--fc", "50", "--c1", "1.5",
+                  "--config", str(path)])
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_mc_gate(self, tmp_path, capsys):
         base = ["mc", "--fc", "50", "--c1", "1.5", "--c2", "2.25", "--k", "5",
                 "--sep-min", "0.08", "--nu", "0.0", "--trials", "3",
