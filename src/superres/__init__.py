@@ -33,7 +33,7 @@ from .refine import (
     run_newton,
     stationarity_residual,
 )
-from .slepian import CriteriaReport, SlepianKernel, build_kernel, check_criteria, kernel_derivative_coeffs
+from .slepian import CriteriaReport, SlepianKernel, build_kernel, check_criteria
 from .spectral import (
     SpikeTrain,
     Spectrum,

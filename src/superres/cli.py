@@ -39,15 +39,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value(action: argparse.Action, value):
+    """Convert a --config value with the option's type, as if typed on the command line."""
+    items = value if action.nargs == "+" and isinstance(value, list) else [value]
+    if not items or not all(isinstance(v, (str, int, float)) and not isinstance(v, bool)
+                            for v in items):
+        raise ValueError(value)
+    converted = [action.type(str(v)) for v in items]
+    return converted if action.nargs == "+" else converted[0]
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json.load(fh)
-        options = set(vars(args)) - {"command", "func", "config"}
-        if not isinstance(config, dict) or not set(config) <= options:
+        commands = next(a for a in parser._actions if a.dest == "command")
+        options = {a.dest: a for a in commands.choices[args.command]._actions
+                   if a.dest not in ("help", "config")}
+        if not isinstance(config, dict) or not set(config) <= set(options):
             sys.stderr.write(f"error: {args.config}: keys must be options of {args.command}\n")
             raise SystemExit(EXIT_USAGE)
-        vars(args).update(config)
+        for key, value in config.items():
+            try:
+                setattr(args, key, _config_value(options[key], value))
+            except ValueError:
+                sys.stderr.write(f"error: {args.config}: {key}: {json.dumps(value)} is not "
+                                 f"a valid {options[key].type.__name__}\n")
+                raise SystemExit(EXIT_USAGE)
     return args
 
 
@@ -207,7 +225,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _apply_config(build_parser().parse_args(argv))
+    parser = build_parser()
+    args = _apply_config(parser, parser.parse_args(argv))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -187,22 +187,33 @@ class TestCli:
 
     def test_solve_config_file_overrides(self, example_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"eta": 5.0}))
-        assert main(["solve", "--input", example_csv, "--fc", "50",
-                     "--c1", "1.5", "--eta", "0.0", "--config", str(config)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["k_tilde"] == 7
+        # a value is converted as the option's command-line text would be
+        for eta in (5.0, "5"):
+            config.write_text(json.dumps({"eta": eta}))
+            assert main(["solve", "--input", example_csv, "--fc", "50",
+                         "--c1", "1.5", "--eta", "0.0", "--config", str(config)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["k_tilde"] == 7
 
-    @pytest.mark.parametrize("config", [{"func": 0}, {"fcc": 20}, ["eta"]],
-                             ids=["internal_name", "typo", "not_an_object"])
-    def test_config_file_rejects_non_options(self, example_csv, tmp_path, capsys, config):
+    @pytest.mark.parametrize("config,message", [
+        ({"func": 0}, "keys must be options"),
+        ({"fcc": 20}, "keys must be options"),
+        (["eta"], "keys must be options"),
+        ({"c1": None}, "c1: null is not a valid float"),
+        ({"eta": "five"}, 'eta: "five" is not a valid float'),
+        ({"fc": 50.5}, "fc: 50.5 is not a valid int"),
+        ({"eta": [5.0]}, "eta: [5.0] is not a valid float"),
+    ], ids=["internal_name", "typo", "not_an_object", "null", "non_numeric_string",
+            "fractional_int", "list"])
+    def test_config_file_rejects_non_options(self, example_csv, tmp_path, capsys,
+                                             config, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--input", example_csv, "--fc", "50", "--c1", "1.5",
                   "--config", str(path)])
         assert exc.value.code == 1
-        assert "error:" in capsys.readouterr().err
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_mc_gate(self, tmp_path, capsys):
         base = ["mc", "--fc", "50", "--c1", "1.5", "--c2", "2.25", "--k", "5",

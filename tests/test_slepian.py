@@ -1,23 +1,64 @@
 """Concentrated kernel construction, verified against dense eigensolvers
 and time-domain quadrature."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
+from scipy.linalg import eigh_tridiagonal, toeplitz
 
+import superres
 from superres.slepian import (
+    TOP_EIGENPAIRS,
     build_kernel,
     check_criteria,
-    concentration_gram,
     corr_dgdg,
     corr_gdg,
     corr_gg,
-    kernel_derivative_coeffs,
 )
 from superres.spectral import ells, eval_grid, eval_point
 
 GRIDS = [(20, 1.0), (20, 1.5), (20, 2.0), (50, 1.0), (50, 1.5), (50, 2.0),
          (100, 1.0), (100, 1.5), (100, 2.0)]
+
+
+def concentration_gram(f_c, sigma):
+    """Sinc Gram matrix A[l,m] = sin(2 pi sigma (l-m)) / (pi (l-m)), A[l,l] = 2 sigma."""
+    n = 2 * f_c + 1
+    k = np.arange(n, dtype=float)
+    col = np.empty(n)
+    col[0] = 2.0 * sigma
+    col[1:] = np.sin(2.0 * np.pi * sigma * k[1:]) / (np.pi * k[1:])
+    return toeplitz(col)
+
+
+def kernel_derivative_coeffs(kernel):
+    """Fourier coefficients of the kernel derivative: (i 2 pi l) ghat[l]."""
+    return 2j * np.pi * ells(kernel.f_c) * kernel.ghat
+
+
+def full_spectrum_kernel(f_c, c):
+    """Reference O(N^3) build: every eigenvector of the commuting matrix,
+    ranked by its dense sinc Gram Rayleigh quotient. Returns the coefficients,
+    their concentration and the winner's index in ascending eigenvalue order."""
+    n = 2 * f_c + 1
+    sigma = c / n
+    k = np.arange(n, dtype=float)
+    diag = ((n - 1) / 2.0 - k) ** 2 * np.cos(2.0 * np.pi * sigma)
+    off = k[1:] * (n - k[1:]) / 2.0
+    _, vecs = eigh_tridiagonal(diag, off)
+    gram = concentration_gram(f_c, sigma)
+    top = int(np.argmax(np.einsum("ij,ij->j", vecs, gram @ vecs)))
+    ghat = vecs[:, top]
+    ghat = 0.5 * (ghat + ghat[::-1])
+    ghat /= np.linalg.norm(ghat)
+    if ghat.sum() < 0.0:
+        ghat = -ghat
+    return ghat, float(ghat @ gram @ ghat), top
 
 
 def dense_top_eigvec(f_c, sigma):
@@ -58,6 +99,29 @@ class TestBuildKernel:
         assert kernel.peak() > 0
         assert kernel.peak() == pytest.approx(values[0], rel=1e-12)
         assert values[0] >= values.max() - 1e-9
+
+    @pytest.mark.parametrize("f_c", [300, 1000])
+    @pytest.mark.parametrize("c", [1.5, 2.25])
+    def test_matches_full_spectrum_build(self, f_c, c):
+        kernel = build_kernel(f_c, c)
+        ghat, concentration, top = full_spectrum_kernel(f_c, c)
+        assert np.abs(kernel.ghat - ghat).max() < 1e-10
+        assert kernel.concentration == pytest.approx(concentration, abs=1e-12)
+        assert np.array_equal(kernel.ghat, kernel.ghat[::-1])
+        assert top >= kernel.n - TOP_EIGENPAIRS
+
+    def test_build_imports_no_module(self):
+        # A module first imported by a kernel build (scipy.fft, say) would
+        # land in every cold process's set-up time.
+        code = (
+            "import sys, superres; before = set(sys.modules); "
+            "superres.build_kernel(50, 1.5); superres.build_kernel(1000, 2.25); "
+            "print(sorted(set(sys.modules) - before))"
+        )
+        src = str(Path(superres.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     def test_concentration_close_to_one(self):
         # the whole point of the kernel: most energy inside [-sigma, sigma]
