@@ -17,6 +17,7 @@ from .experiments import (
     EXACT_RECOVERY_ERR,
     GRAD_CHECK_RTOL,
     HESS_CHECK_RTOL,
+    ConfigError,
     ExperimentConfig,
     gradcheck,
     run_monte_carlo,
@@ -24,7 +25,7 @@ from .experiments import (
 from .peaks import PeakConfig, find_peaks
 from .refine import BoxConstraint, NewtonConfig, run_newton
 from .slepian import build_kernel
-from .spectral import ells, eval_grid, load_spectrum_csv, pointwise_mul
+from .spectral import Spectrum, ells, eval_grid, load_spectrum_csv, pointwise_mul
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,8 +36,12 @@ EXIT_THRESHOLD = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+        _exit_usage(message)
+
+
+def _exit_usage(message: str):
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
 
 
 def _config_value(action: argparse.Action, value):
@@ -51,22 +56,33 @@ def _config_value(action: argparse.Action, value):
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            _exit_usage(f"{args.config}: {exc}")
         commands = next(a for a in parser._actions if a.dest == "command")
         options = {a.dest: a for a in commands.choices[args.command]._actions
                    if a.dest not in ("help", "config")}
         if not isinstance(config, dict) or not set(config) <= set(options):
-            sys.stderr.write(f"error: {args.config}: keys must be options of {args.command}\n")
-            raise SystemExit(EXIT_USAGE)
+            _exit_usage(f"{args.config}: keys must be options of {args.command}")
         for key, value in config.items():
             try:
                 setattr(args, key, _config_value(options[key], value))
             except ValueError:
-                sys.stderr.write(f"error: {args.config}: {key}: {json.dumps(value)} is not "
-                                 f"a valid {options[key].type.__name__}\n")
-                raise SystemExit(EXIT_USAGE)
+                _exit_usage(f"{args.config}: {key}: {json.dumps(value)} is not "
+                            f"a valid {options[key].type.__name__}")
     return args
+
+
+def _load_input(args) -> Spectrum:
+    try:
+        y = load_spectrum_csv(args.input)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{args.input}: {exc}") from exc
+    if y.f_c != args.fc:
+        raise ConfigError("--fc does not match the input spectrum")
+    return y
 
 
 def _cmd_kernel(args) -> int:
@@ -89,10 +105,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_phase1(args) -> int:
-    y = load_spectrum_csv(args.input)
-    if y.f_c != args.fc:
-        sys.stderr.write("error: --fc does not match the input spectrum\n")
-        return EXIT_USAGE
+    y = _load_input(args)
     kernel = build_kernel(args.fc, args.c1)
     result = find_peaks(y, kernel, PeakConfig(eta=args.eta, oversample=args.oversample))
     print(json.dumps({
@@ -104,10 +117,7 @@ def _cmd_phase1(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    y = load_spectrum_csv(args.input)
-    if y.f_c != args.fc:
-        sys.stderr.write("error: --fc does not match the input spectrum\n")
-        return EXIT_USAGE
+    y = _load_input(args)
     c2 = args.c2 if args.c2 is not None else 1.5 * args.c1
     kernel1 = build_kernel(args.fc, args.c1)
     kernel2 = build_kernel(args.fc, c2)
@@ -116,13 +126,9 @@ def _cmd_solve(args) -> int:
         print(json.dumps({"k_tilde": 0, "positions": [], "amplitudes": [],
                           "status": "no_peaks", "f_trace": []}))
         return EXIT_OK
-    try:
-        zhat = pointwise_mul(y, kernel2.spectrum())
-        box = BoxConstraint(peaks.tau0, kernel1.sigma)
-        report = run_newton(peaks.tau0, kernel2, zhat, box, NewtonConfig())
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
+    zhat = pointwise_mul(y, kernel2.spectrum())
+    box = BoxConstraint(peaks.tau0, kernel1.sigma)
+    report = run_newton(peaks.tau0, kernel2, zhat, box, NewtonConfig())
     print(json.dumps({
         "k_tilde": peaks.k_tilde,
         "positions": list(report.tau_tilde),
@@ -231,7 +237,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .circle import hausdorff, wrap
-from .peaks import PeakConfig, find_peaks
+from .peaks import MIN_OVERSAMPLE, PeakConfig, find_peaks
 from .refine import (
     BoxConstraint,
     DegenerateDictionaryError,
@@ -39,6 +39,10 @@ FAILED_TRIAL_ERR = 0.5  # maximum possible wraparound distance
 AmpLaw = Union[str, Sequence[float]]  # "gaussian" (variance 1/N) or fixed amplitudes
 
 
+class ConfigError(ValueError):
+    """A setting or input the run cannot use, found before any computation."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     f_c: int = 50
@@ -53,10 +57,14 @@ class ExperimentConfig:
     oversample: int = 32
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
         if self.sep_min * self.k >= 1.0:
-            raise ValueError("spikes do not fit on the circle at this separation")
+            raise ConfigError("spikes do not fit on the circle at this separation")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError("trials must be >= 1")
+        if self.oversample < MIN_OVERSAMPLE:
+            raise ConfigError(f"oversample must be >= {MIN_OVERSAMPLE}")
 
 
 @dataclass(frozen=True)
@@ -223,6 +231,8 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
               hess_points: Optional[int] = None) -> GradCheckReport:
     """Compare analytic gradient and Hessian against central finite differences
     at random feasible configurations."""
+    if n_points < 1:
+        raise ConfigError("n_points must be >= 1")
     n = 2 * f_c + 1
     sigma1 = c1 / n
     sigma2 = c2 / n

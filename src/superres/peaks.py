@@ -17,9 +17,10 @@ import numpy as np
 
 from .circle import wrap, wrap_dist
 from .slepian import SlepianKernel
-from .spectral import Spectrum, ells, eval_grid, pointwise_mul
+from .spectral import Spectrum, eval_grid, half_band, pointwise_mul
 
 NEWTON_STEPS = 3  # quadratic convergence: from one grid cell (1/M) to below 1e-12
+MIN_OVERSAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class PeakConfig:
     max_peaks: Optional[int] = None
 
     def __post_init__(self):
-        if self.oversample < 4:
-            raise ValueError("oversample must be >= 4")
+        if self.oversample < MIN_OVERSAMPLE:
+            raise ValueError(f"oversample must be >= {MIN_OVERSAMPLE}")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
 
@@ -52,13 +53,15 @@ def _polish(z: Spectrum, t: float, half_width: float) -> tuple[float, float]:
 
     Stops where sign(z) z'' >= 0, since |z| is not concave there.
     """
-    w = 2j * np.pi * ells(z.f_c)
-    c1 = w * z.coeffs  # z'
+    ls, weights = half_band(z.f_c)
+    w = 2j * np.pi * ls
+    c0 = weights * z.coeffs[z.f_c:]
+    c1 = w * c0  # z'
     c2 = w * c1  # z''
     lo, hi = t - half_width, t + half_width
     for step in range(NEWTON_STEPS + 1):
         e = np.exp(w * t)
-        f0, f1, f2 = (np.dot(c, e).real for c in (z.coeffs, c1, c2))
+        f0, f1, f2 = (np.dot(c, e).real for c in (c0, c1, c2))
         if step == NEWTON_STEPS or np.sign(f0) * f2 >= 0.0:
             break
         t = min(max(t - f1 / f2, lo), hi)

@@ -9,9 +9,9 @@ That record is all that F, its gradient and its Hessian read, so the Newton
 loop evaluates each point it visits once, and an accepted line-search
 candidate's record becomes the next iterate's state.
 
-The derivatives are evaluated in the frequency domain; quantities that are
-mathematically real are computed in complex arithmetic and checked for
-imaginary residue so that symmetry bugs fail loudly instead of silently.
+The derivatives are evaluated in the frequency domain. Every inner product
+there is a Hermitian sum, so G holds only the rows l >= 0 and each product is
+the real part of a sum weighted by `spectral.half_band`.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from scipy.linalg import cho_solve
 
 from .circle import wrap, wrap_dist, wrap_signed
 from .slepian import SlepianKernel
-from .spectral import Spectrum, ells
+from .spectral import Spectrum, half_band
 
-GRAM_IMAG_RTOL = 1e-10
-BETA_IMAG_RTOL = 1e-9
-GRAD_IMAG_RTOL = 1e-8
+HESS_ASYM_RTOL = 1e-8
 FEAS_TOL = 1e-12
 ARMIJO_CONST = 1e-4
 MAX_BACKTRACKS = 40
@@ -41,19 +39,13 @@ class DegenerateDictionaryError(ValueError):
     """Candidate positions too close for a well-posed least-squares system."""
 
 
-def _checked_real(z: np.ndarray, scale: float, rtol: float, what: str) -> np.ndarray:
-    scale = max(scale, 1e-300)
-    if np.abs(np.imag(z)).max() > rtol * scale:
-        raise ValueError(f"non-real {what}: imaginary residue exceeds tolerance")
-    return np.real(z)
-
-
 @dataclass(frozen=True)
 class DictionaryMatrix:
     """Kernel coefficients modulated to candidate positions, with Gram factor."""
 
     rho: np.ndarray
-    G: np.ndarray  # N x K complex
+    G: np.ndarray  # (f_C + 1) x K complex, rows l = 0 .. f_C
+    gh: np.ndarray  # K x (f_C + 1), the weighted adjoint: Re(gh @ x) is G* x over the full band
     gram: np.ndarray  # K x K real SPD, G* G
     gram_chol: np.ndarray  # lower-triangular Cholesky factor of gram
 
@@ -94,15 +86,17 @@ class SolveReport:
 
 
 def build_G(rho, kernel: SlepianKernel) -> DictionaryMatrix:
-    """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} and its Gram factor."""
+    """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} (l >= 0) and its Gram factor."""
     rho = wrap(np.atleast_1d(np.asarray(rho, dtype=float)))
     if rho.size > 1:
         d = wrap_dist(rho[:, None], rho[None, :])
         iu = np.triu_indices(rho.size, k=1)
         if np.any(d[iu] == 0.0):
             raise DegenerateDictionaryError("degenerate dictionary")
-    G = kernel.ghat[:, None] * np.exp(-2j * np.pi * np.outer(ells(kernel.f_c), rho))
-    gram = _checked_real(G.conj().T @ G, 1.0, GRAM_IMAG_RTOL, "Gram matrix")
+    ls, weights = half_band(kernel.f_c)
+    G = kernel.ghat[kernel.f_c:, None] * np.exp(-2j * np.pi * np.outer(ls, rho))
+    gh = (weights[:, None] * G).conj().T
+    gram = (gh @ G).real
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -110,15 +104,14 @@ def build_G(rho, kernel: SlepianKernel) -> DictionaryMatrix:
     # Near-duplicate positions leave the Gram numerically PD but useless.
     if np.diag(chol).min() < 1e-3:
         raise DegenerateDictionaryError("degenerate dictionary")
-    return DictionaryMatrix(rho=rho, G=G, gram=gram, gram_chol=chol)
+    return DictionaryMatrix(rho=rho, G=G, gh=gh, gram=gram, gram_chol=chol)
 
 
 def least_squares_beta(d: DictionaryMatrix, zhat: Spectrum) -> np.ndarray:
     """Amplitudes minimizing ||G beta - zhat||^2, via the Gram Cholesky factor."""
-    z = zhat.coeffs
-    rhs = _checked_real(d.G.conj().T @ z, float(np.linalg.norm(z)), BETA_IMAG_RTOL,
-                        "normal equations")
-    return cho_solve((d.gram_chol, True), rhs)
+    if not zhat.real_signal:
+        raise ValueError("least_squares_beta requires a real_signal spectrum")
+    return cho_solve((d.gram_chol, True), (d.gh @ zhat.coeffs[zhat.f_c:]).real)
 
 
 @dataclass(frozen=True)
@@ -127,41 +120,35 @@ class _Point:
 
     d: DictionaryMatrix
     beta: np.ndarray
-    r: np.ndarray  # residual zhat - G beta
+    r: np.ndarray  # residual zhat - G beta, l >= 0
     f: float
 
 
 def _evaluate(rho, kernel: SlepianKernel, zhat: Spectrum) -> _Point:
     d = build_G(rho, kernel)
     beta = least_squares_beta(d, zhat)
-    r = zhat.coeffs - d.G @ beta
-    return _Point(d=d, beta=beta, r=r, f=float(np.vdot(r, r).real))
+    r = zhat.coeffs[zhat.f_c:] - d.G @ beta
+    _, weights = half_band(kernel.f_c)
+    return _Point(d=d, beta=beta, r=r, f=float(weights @ (r.real**2 + r.imag**2)))
 
 
 def _ls(kernel: SlepianKernel) -> np.ndarray:
     """Weights 2 pi i l: d/drho_i of column i of G is -2 pi i l times that column."""
-    return 2j * np.pi * ells(kernel.f_c)
+    return 2j * np.pi * half_band(kernel.f_c)[0]
 
 
 def _gradient(p: _Point, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gradient and w = Re G^H (2 pi i l r), which the Hessian reuses."""
-    lr = ls * p.r
-    w = _checked_real(p.d.G.conj().T @ lr, float(np.linalg.norm(lr)), GRAD_IMAG_RTOL,
-                      "gradient")
+    w = (p.d.gh @ (ls * p.r)).real
     return -2.0 * p.beta * w, w
 
 
 def _hessian(p: _Point, ls: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Four-term analytic Hessian of the reduced objective, symmetrized."""
     d = p.d
-    l2r = ls * (ls * p.r)
-    scale_g = max(float(np.abs(d.G.conj().T @ (np.abs(ls)[:, None] * np.abs(d.G))).max()), 1.0)
-    glg = _checked_real(d.G.conj().T @ (ls[:, None] * d.G), scale_g, GRAD_IMAG_RTOL,
-                        "first-derivative Gram")
-    gl2g = _checked_real(d.G.conj().T @ (ls[:, None] ** 2 * d.G), scale_g * scale_g,
-                         GRAD_IMAG_RTOL, "second-derivative Gram")
-    w2 = _checked_real(d.G.conj().T @ l2r, float(np.linalg.norm(l2r)), GRAD_IMAG_RTOL,
-                       "curvature residual")
+    glg = (d.gh @ (ls[:, None] * d.G)).real
+    gl2g = (d.gh @ (ls[:, None] ** 2 * d.G)).real
+    w2 = (d.gh @ (ls**2 * p.r)).real
 
     db = np.diag(p.beta)
     term1 = -2.0 * db @ gl2g @ db
@@ -172,7 +159,7 @@ def _hessian(p: _Point, ls: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     asym = np.abs(h - h.T).max()
     scale = max(np.abs(h).max(), 1e-300)
-    if asym > GRAD_IMAG_RTOL * scale:
+    if asym > HESS_ASYM_RTOL * scale:
         raise ValueError("Hessian asymmetry residue exceeds tolerance")
     return 0.5 * (h + h.T)
 

@@ -8,6 +8,7 @@ import pytest
 from superres.circle import hausdorff, separation
 from superres.cli import main
 from superres.experiments import (
+    ConfigError,
     ExperimentConfig,
     gradcheck,
     run_monte_carlo,
@@ -31,6 +32,11 @@ class TestConfig:
     def test_trials_floor(self):
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(trials=0)
+
+    @pytest.mark.parametrize("field,value", [("k", 0), ("oversample", 2)])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
 
 
 class TestSampling:
@@ -123,6 +129,10 @@ class TestGradcheck:
         assert report.max_grad_rel_err <= 1e-5
         assert report.max_hess_rel_err <= 1e-4
 
+    def test_zero_points_rejected(self):
+        with pytest.raises(ConfigError, match="n_points"):
+            gradcheck(n_points=0)
+
     def test_gradient_only(self):
         report = gradcheck(n_points=3, seed=1, check_hessian=False)
         assert report.max_hess_rel_err == 0.0
@@ -214,6 +224,44 @@ class TestCli:
                   "--config", str(path)])
         assert exc.value.code == 1
         assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, '{"eta": 5,}'], ids=["missing", "malformed"])
+    def test_unreadable_config_is_usage_error(self, example_csv, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", example_csv, "--fc", "50", "--c1", "1.5",
+                  "--config", str(path)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["phase1", "solve"])
+    @pytest.mark.parametrize("text", [
+        None,
+        "l,re,im\n0,1,x\n",
+        "l,re\n0,1\n",
+        pytest.param("l,re,im\n", marks=pytest.mark.filterwarnings("ignore:loadtxt")),
+    ], ids=["missing", "non_numeric", "two_columns", "no_rows"])
+    def test_unreadable_input_is_usage_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "y.csv"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, "--input", str(path), "--fc", "50", "--c1", "1.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--oversample", "2"],
+        ["mc", "--k", "0"],
+        ["mc", "--trials", "0"],
+        ["mc", "--k", "30", "--sep-min", "0.05"],
+        ["gradcheck", "--n-points", "0"],
+    ], ids=["oversample", "k", "trials", "overfull", "n_points"])
+    def test_out_of_range_setting_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_mc_gate(self, tmp_path, capsys):
         base = ["mc", "--fc", "50", "--c1", "1.5", "--c2", "2.25", "--k", "5",

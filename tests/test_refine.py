@@ -28,8 +28,18 @@ from superres.refine import (
     run_newton,
     stationarity_residual,
 )
+from superres.experiments import _rejection_sample_positions
 from superres.slepian import SlepianKernel, build_kernel
-from superres.spectral import Spectrum, SpikeTrain, eval_point, pointwise_mul, spike_fourier
+from superres.spectral import (
+    Spectrum,
+    SpikeTrain,
+    add,
+    ells,
+    eval_point,
+    pointwise_mul,
+    spike_fourier,
+    synth_noise,
+)
 
 TAU_EXAMPLE = np.array([0.2995, 0.3663, 0.4332, 0.5000, 0.5668, 0.6337, 0.7005])
 ALPHA_EXAMPLE = np.array([10.0, -1.0, 1.0, -3.0, 2.0, -5.0, 2.0])
@@ -50,6 +60,35 @@ def zhat_example(kernel2):
 
 def filtered_spikes(kernel, tau, alpha):
     return pointwise_mul(spike_fourier(SpikeTrain(tau, alpha), F_C), kernel.spectrum())
+
+
+def full_band_G(rho, kernel: SlepianKernel) -> np.ndarray:
+    """Reference dictionary: N x K complex, rows l = -f_C .. f_C."""
+    rho = wrap(np.atleast_1d(np.asarray(rho, dtype=float)))
+    return kernel.ghat[:, None] * np.exp(-2j * np.pi * np.outer(ells(kernel.f_c), rho))
+
+
+def full_band_reference(rho, kernel: SlepianKernel, zhat: Spectrum) -> dict:
+    """Gram, beta, F, gradient and Hessian in complex arithmetic over the whole band.
+
+    Each is mathematically real; the imaginary part left over is the check
+    that the spectra are Hermitian and the half-band fold is valid.
+    """
+    G = full_band_G(rho, kernel)
+    gh = G.conj().T
+    ls = 2j * np.pi * ells(kernel.f_c)
+    z = zhat.coeffs
+    gram = gh @ G
+    beta = np.linalg.solve(gram, gh @ z)
+    r = z - G @ beta
+    w = gh @ (ls * r)
+    db = np.diag(beta)
+    bracket = db @ (gh @ (ls[:, None] * G)) - np.diag(w)
+    hess = (-2.0 * db @ (gh @ (ls[:, None] ** 2 * G)) @ db
+            - 2.0 * db @ np.diag(gh @ (ls**2 * r))
+            - 2.0 * bracket @ np.linalg.solve(gram, bracket.T))
+    return {"gram": gram, "beta": beta, "F": np.vdot(r, r), "grad": -2.0 * beta * w,
+            "hess": 0.5 * (hess + hess.T)}
 
 
 def run_gradient_projection(tau0, kernel: SlepianKernel, zhat: Spectrum,
@@ -151,7 +190,7 @@ class TestLeastSquares:
         rho = wrap(TAU_EXAMPLE + 0.002)
         d = build_G(rho, kernel2)
         beta = least_squares_beta(d, zhat_example)
-        oracle = np.linalg.pinv(d.G) @ zhat_example.coeffs
+        oracle = np.linalg.pinv(full_band_G(rho, kernel2)) @ zhat_example.coeffs
         assert np.abs(oracle.imag).max() < 1e-9
         assert np.abs(beta - oracle.real).max() < 1e-9
 
@@ -159,6 +198,13 @@ class TestLeastSquares:
         d = build_G(TAU_EXAMPLE, kernel2)
         beta = least_squares_beta(d, zhat_example)
         assert np.abs(beta - ALPHA_EXAMPLE).max() < 1e-10
+
+    def test_rejects_spectrum_not_real_signal(self, kernel2, zhat_example):
+        z = Spectrum(F_C, zhat_example.coeffs)  # same coefficients, real_signal=False
+        with pytest.raises(ValueError, match="real_signal"):
+            least_squares_beta(build_G(TAU_EXAMPLE, kernel2), z)
+        with pytest.raises(ValueError, match="real_signal"):
+            run_newton(TAU_EXAMPLE, kernel2, z, BoxConstraint(TAU_EXAMPLE, SIGMA1))
 
 
 class TestObjective:
@@ -170,8 +216,8 @@ class TestObjective:
 
     def test_matches_dense_projector_oracle(self, kernel2, zhat_example):
         rho = wrap(TAU_EXAMPLE + 0.004)
-        d = build_G(rho, kernel2)
-        proj = d.G @ np.linalg.pinv(d.G)
+        G = full_band_G(rho, kernel2)
+        proj = G @ np.linalg.pinv(G)
         resid = (np.eye(101) - proj) @ zhat_example.coeffs
         expected = float(np.vdot(resid, resid).real)
         assert objective_F(rho, kernel2, zhat_example) == pytest.approx(expected, rel=1e-9)
@@ -230,6 +276,28 @@ class TestDerivatives:
         zhat = filtered_spikes(kernel2, self.tau, self.alpha)
         hess = hessian_F(self.rho, kernel2, zhat)
         assert np.linalg.eigvalsh(hess).min() > 0
+
+
+class TestFullBandOracle:
+    @pytest.mark.parametrize("f_c", [50, 1000])
+    def test_half_band_matches_complex_full_band(self, f_c):
+        kernel = build_kernel(f_c, 2.25)
+        sigma1 = 1.5 / (2 * f_c + 1)
+        rng = np.random.Generator(np.random.Philox(f_c))
+        for k in (1, 3, 7):
+            tau = _rejection_sample_positions(rng, k, 4.0 * sigma1)
+            alpha = rng.uniform(1.0, 10.0, k) * rng.choice([-1.0, 1.0], k)
+            y = add(spike_fourier(SpikeTrain(tau, alpha), f_c), synth_noise(f_c, 0.1, k))
+            zhat = pointwise_mul(y, kernel.spectrum())
+            rho = wrap(tau + rng.uniform(-0.5, 0.5, k) * sigma1)
+            d = build_G(rho, kernel)
+            got = {"gram": d.gram, "beta": least_squares_beta(d, zhat),
+                   "F": objective_F(rho, kernel, zhat), "grad": gradient_F(rho, kernel, zhat),
+                   "hess": hessian_F(rho, kernel, zhat)}
+            for name, ref in full_band_reference(rho, kernel, zhat).items():
+                scale = np.abs(ref).max()
+                assert np.abs(np.imag(ref)).max() <= 1e-12 * scale, name
+                assert np.abs(got[name] - np.real(ref)).max() <= 1e-12 * scale, name
 
 
 class TestActiveSet:

@@ -29,6 +29,25 @@ def naive_eval(coeffs, f_c, t):
     )
 
 
+def full_band_grid(s, m):
+    """Reference grid values: complex inverse FFT of the whole band, zero-padded to M."""
+    padded = np.zeros(m, dtype=complex)
+    padded[np.mod(ells(s.f_c), m)] = s.coeffs
+    return m * np.fft.ifft(padded)
+
+
+def full_band_point(s, t):
+    """Reference point value: complex direct sum over the whole band."""
+    return np.sum(s.coeffs * np.exp(2j * np.pi * ells(s.f_c) * t))
+
+
+def seeded_real_spectrum(f_c, seed):
+    """Spikes plus noise: a Hermitian spectrum whose signal has a generic shape."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    spikes = spike_fourier(SpikeTrain(rng.random(5), rng.standard_normal(5)), f_c)
+    return add(spikes, synth_noise(f_c, 0.1, seed))
+
+
 class TestSpikeTrain:
     def test_wraps_positions(self):
         x = SpikeTrain([1.25, -0.25], [1.0, 2.0])
@@ -177,6 +196,20 @@ class TestEvalGrid:
         m = 8 * s.n
         values = eval_grid(s, m)
         assert np.mean(values**2) == pytest.approx(s.energy(), rel=1e-10)
+
+    @pytest.mark.parametrize("f_c", [50, 1000])
+    def test_half_band_matches_full_band_oracle(self, f_c):
+        # The half-band sums equal the complex whole-band sums, whose
+        # imaginary part vanishes because the spectrum is Hermitian.
+        s = seeded_real_spectrum(f_c, seed=f_c)
+        ref = full_band_grid(s, 32 * s.n)
+        scale = np.abs(ref).max()
+        assert np.abs(ref.imag).max() <= 1e-12 * scale
+        assert np.abs(eval_grid(s, 32 * s.n) - ref.real).max() <= 1e-12 * scale
+        for t in np.random.Generator(np.random.Philox(f_c)).random(20):
+            ref = full_band_point(s, t)
+            assert abs(ref.imag) <= 1e-12 * scale
+            assert abs(eval_point(s, t) - ref.real) <= 1e-12 * scale
 
     def test_requires_real_signal_flag(self):
         s = Spectrum(2, np.arange(5, dtype=complex))
