@@ -23,12 +23,10 @@ from .refine import (
     NewtonConfig,
     SolveReport,
     build_G,
-    eps_active_set,
     gradient_F,
     hessian_F,
     least_squares_beta,
     objective_F,
-    project_box,
     reduced_hessian,
     run_newton,
     stationarity_residual,

@@ -85,17 +85,21 @@ def _load_input(args) -> Spectrum:
     return y
 
 
+def _peak_config(args) -> PeakConfig:
+    try:
+        return PeakConfig(eta=args.eta, oversample=args.oversample)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_kernel(args) -> int:
     kernel = build_kernel(args.fc, args.c)
+    csv = "l,ghat\n" + "".join(f"{l},{g:.17g}\n" for l, g in zip(ells(kernel.f_c), kernel.ghat))
     if args.dump:
         with open(args.dump, "w") as fh:
-            fh.write("l,ghat\n")
-            for l, g in zip(ells(kernel.f_c), kernel.ghat):
-                fh.write(f"{l},{g:.17g}\n")
+            fh.write(csv)
     else:
-        print("l,ghat")
-        for l, g in zip(ells(kernel.f_c), kernel.ghat):
-            print(f"{l},{g:.17g}")
+        sys.stdout.write(csv)
     if args.grid:
         values = eval_grid(kernel.spectrum(), args.grid)
         print("t,g")
@@ -106,8 +110,9 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_phase1(args) -> int:
     y = _load_input(args)
+    cfg = _peak_config(args)
     kernel = build_kernel(args.fc, args.c1)
-    result = find_peaks(y, kernel, PeakConfig(eta=args.eta, oversample=args.oversample))
+    result = find_peaks(y, kernel, cfg)
     print(json.dumps({
         "k_tilde": result.k_tilde,
         "tau0": list(result.tau0),
@@ -118,10 +123,11 @@ def _cmd_phase1(args) -> int:
 
 def _cmd_solve(args) -> int:
     y = _load_input(args)
+    cfg = _peak_config(args)
     c2 = args.c2 if args.c2 is not None else 1.5 * args.c1
     kernel1 = build_kernel(args.fc, args.c1)
     kernel2 = build_kernel(args.fc, c2)
-    peaks = find_peaks(y, kernel1, PeakConfig(eta=args.eta, oversample=args.oversample))
+    peaks = find_peaks(y, kernel1, cfg)
     if peaks.k_tilde == 0:
         print(json.dumps({"k_tilde": 0, "positions": [], "amplitudes": [],
                           "status": "no_peaks", "f_trace": []}))

@@ -179,15 +179,6 @@ def hessian_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
     return _hessian(p, ls, _gradient(p, ls)[1])
 
 
-def eps_active_set(rho, box: BoxConstraint, eps: float) -> np.ndarray:
-    """Indices within eps of the box boundary (eps = 0: exactly active)."""
-    rho = wrap(np.atleast_1d(np.asarray(rho, dtype=float)))
-    d = wrap_dist(rho, box.center)
-    if np.any(d > box.radius + FEAS_TOL):
-        raise ValueError("infeasible point")
-    return np.flatnonzero(d >= box.radius - eps)
-
-
 def reduced_hessian(h: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Replace active rows and columns with identity rows and columns."""
     r = h.copy()
@@ -198,29 +189,25 @@ def reduced_hessian(h: np.ndarray, active: np.ndarray) -> np.ndarray:
     return r
 
 
-def project_box(rho, box: BoxConstraint) -> np.ndarray:
-    """Clamp each coordinate to the box, along the shorter arc; antipodal
-    points tie-break toward center + radius."""
-    u = wrap_signed(rho, box.center)
-    return wrap(box.center + np.clip(u, -box.radius, box.radius))
-
-
-def _displacement_norm(a, b) -> float:
-    return float(np.linalg.norm(wrap_signed(a, b)))
-
-
 def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
                cfg: NewtonConfig = NewtonConfig()) -> SolveReport:
     """Projected Newton refinement of tau0 within the box.
 
+    The iterate is the offset u = tau - box.center in [-r, r]^K: the boxes are
+    disjoint intervals of radius r < 1/4, so the projection is Euclidean
+    clipping and step lengths are plain norms. F is 1-periodic in each
+    position, so it is evaluated at box.center + u without wrapping.
     zhat must already be filtered by the kernel used to build the dictionary.
     """
-    tau = wrap(np.atleast_1d(np.asarray(tau0, dtype=float)))
-    eta_stop = 1e-12 * np.sqrt(tau.size)
-    eps = box.radius / 2.0
+    r = box.radius
+    u = wrap_signed(np.atleast_1d(np.asarray(tau0, dtype=float)), box.center)
+    if np.any(np.abs(u) > r + FEAS_TOL):
+        raise ValueError("infeasible point")
+    eta_stop = 1e-12 * np.sqrt(u.size)
+    eps = r / 2.0
     ls = _ls(kernel)
 
-    p = _evaluate(tau, kernel, zhat)
+    p = _evaluate(box.center + u, kernel, zhat)
     f_trace = [p.f]
     status = STATUS_MAX_ITER
     iterations = 0
@@ -228,8 +215,7 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         iterations += 1
         grad, w = _gradient(p, ls)
         hess = _hessian(p, ls, w)
-        active = eps_active_set(tau, box, eps)
-        reduced = reduced_hessian(hess, active)
+        reduced = reduced_hessian(hess, np.flatnonzero(np.abs(u) >= r - eps))
         try:
             rchol = np.linalg.cholesky(reduced)
         except np.linalg.LinAlgError:
@@ -237,33 +223,33 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
             break
         v = cho_solve((rchol, True), grad)
 
-        tau_full = project_box(wrap(tau - v), box)
-        step_norm = _displacement_norm(tau_full, tau)
+        u_full = np.clip(u - v, -r, r)
+        step_norm = float(np.linalg.norm(u_full - u))
         if step_norm <= eta_stop:
             status = STATUS_CONVERGED
             break
-        eps = min(step_norm, box.radius)
+        eps = min(step_norm, r)
 
         for m in range(MAX_BACKTRACKS + 1):
             lam = 2.0**-m
-            cand = tau_full if m == 0 else project_box(wrap(tau - lam * v), box)
-            disp2 = float(np.sum(wrap_signed(cand, tau) ** 2))
-            q = _evaluate(cand, kernel, zhat)
+            cand = u_full if m == 0 else np.clip(u - lam * v, -r, r)
+            disp2 = float(np.sum((cand - u) ** 2))
+            q = _evaluate(box.center + cand, kernel, zhat)
             if q.f - p.f <= -ARMIJO_CONST / lam * disp2:
                 break
         else:
             break  # no acceptable step: stalled at numerical floor
-        tau, p = cand, q
+        u, p = cand, q
         f_trace.append(p.f)
 
     return SolveReport(
-        tau_tilde=tau,
+        tau_tilde=wrap(box.center + u),
         beta=p.beta,
         f_trace=np.asarray(f_trace),
         grad_norm_final=float(np.linalg.norm(_gradient(p, ls)[0])),
         status=status,
         iterations=iterations,
-        active_set_final=eps_active_set(tau, box, 0.0),
+        active_set_final=np.flatnonzero(np.abs(u) >= r),
     )
 
 

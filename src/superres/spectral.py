@@ -86,10 +86,6 @@ class Spectrum:
     def n(self) -> int:
         return 2 * self.f_c + 1
 
-    def __getitem__(self, l: int) -> complex:
-        """Coefficient at frequency l (signed index)."""
-        return complex(self.coeffs[l + self.f_c])
-
     def energy(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 

@@ -54,6 +54,11 @@ def kernel2():
 
 
 @pytest.fixture(scope="module")
+def gradcheck_report():
+    return gradcheck(f_c=F_C, c1=C1, c2=C2, n_points=100, seed=0)
+
+
+@pytest.fixture(scope="module")
 def example_spectrum():
     return spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), F_C)
 
@@ -129,21 +134,19 @@ def test_criterion_4_noise_degradation(kernel1):
             f"{clamp_violations}/{clamp_eligible} box-bound violations")
 
 
-def test_criterion_5_gradient_check():
+def test_criterion_5_gradient_check(gradcheck_report):
     """Analytic gradient matches central differences at 100 random points."""
-    report = gradcheck(f_c=F_C, c1=C1, c2=C2, n_points=100, seed=0,
-                       check_hessian=False)
+    report = gradcheck_report
     ok = report.max_grad_rel_err <= GRAD_CHECK_RTOL and report.degenerate_count == 0
     _report(5, "gradient finite-difference check", ok,
             f"max relative error={report.max_grad_rel_err:.2e} "
             f"(threshold {GRAD_CHECK_RTOL:g})")
 
 
-def test_criterion_6_hessian_check(kernel1, kernel2):
-    """Analytic Hessian matches central differences at 50 random points and
+def test_criterion_6_hessian_check(kernel1, kernel2, gradcheck_report):
+    """Analytic Hessian matches central differences at 100 random points and
     is positive definite at noise-free points near well-separated truths."""
-    report = gradcheck(f_c=F_C, c1=C1, c2=C2, n_points=50, seed=0,
-                       check_hessian=True)
+    report = gradcheck_report
     fd_ok = report.max_hess_rel_err <= HESS_CHECK_RTOL
 
     from superres.spectral import pointwise_mul

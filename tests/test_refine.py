@@ -10,20 +10,18 @@ import superres.refine
 from superres.circle import wrap, wrap_dist, wrap_signed
 from superres.peaks import PeakConfig, find_peaks
 from superres.refine import (
+    FEAS_TOL,
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
     BoxConstraint,
     DegenerateDictionaryError,
     NewtonConfig,
     SolveReport,
-    _displacement_norm,
     build_G,
-    eps_active_set,
     gradient_F,
     hessian_F,
     least_squares_beta,
     objective_F,
-    project_box,
     reduced_hessian,
     run_newton,
     stationarity_residual,
@@ -89,6 +87,26 @@ def full_band_reference(rho, kernel: SlepianKernel, zhat: Spectrum) -> dict:
             - 2.0 * bracket @ np.linalg.solve(gram, bracket.T))
     return {"gram": gram, "beta": beta, "F": np.vdot(r, r), "grad": -2.0 * beta * w,
             "hess": 0.5 * (hess + hess.T)}
+
+
+def eps_active_set(rho, box: BoxConstraint, eps: float) -> np.ndarray:
+    """Indices within eps of the box boundary (eps = 0: exactly active)."""
+    rho = wrap(np.atleast_1d(np.asarray(rho, dtype=float)))
+    d = wrap_dist(rho, box.center)
+    if np.any(d > box.radius + FEAS_TOL):
+        raise ValueError("infeasible point")
+    return np.flatnonzero(d >= box.radius - eps)
+
+
+def project_box(rho, box: BoxConstraint) -> np.ndarray:
+    """Clamp each coordinate to the box, along the shorter arc; antipodal
+    points tie-break toward center + radius."""
+    u = wrap_signed(rho, box.center)
+    return wrap(box.center + np.clip(u, -box.radius, box.radius))
+
+
+def _displacement_norm(a, b) -> float:
+    return float(np.linalg.norm(wrap_signed(a, b)))
 
 
 def run_gradient_projection(tau0, kernel: SlepianKernel, zhat: Spectrum,
@@ -436,6 +454,37 @@ class TestRunNewton:
         box = BoxConstraint(tau0, SIGMA1)
         report = run_newton(tau0, kernel2, zhat_example, box, NewtonConfig(max_iter=1))
         assert report.iterations == 1
+
+    @pytest.mark.parametrize("offset", [0.02, -0.02])
+    def test_rejects_start_outside_box(self, kernel2, zhat_example, offset):
+        box = BoxConstraint(TAU_EXAMPLE, 0.01)
+        with pytest.raises(ValueError, match="infeasible"):
+            run_newton(wrap(TAU_EXAMPLE + offset), kernel2, zhat_example, box)
+
+    def test_step_past_antipode_clips_to_its_own_face(self, kernel2, monkeypatch):
+        # F is barely convex at the start, so the first Newton step is about
+        # 0.71 long and passes the antipode of the box centre. The full step
+        # must clip to the face it points to, be accepted, and the solve must
+        # go on to the spike inside the box.
+        zhat = filtered_spikes(kernel2, [0.5], [1.0])
+        tau0 = np.array([0.50838])
+        box = BoxConstraint(tau0, 0.01)
+        step = np.linalg.solve(hessian_F(tau0, kernel2, zhat), gradient_F(tau0, kernel2, zhat))
+        assert 0.5 < step[0] < 1.0
+        evaluate = superres.refine._evaluate
+        points = []
+
+        def recorded(rho, kernel, z):
+            p = evaluate(rho, kernel, z)
+            points.append((wrap_signed(rho, box.center)[0], p.f))
+            return p
+
+        monkeypatch.setattr(superres.refine, "_evaluate", recorded)
+        report = run_newton(tau0, kernel2, zhat, box)
+        assert points[1][0] == pytest.approx(-box.radius, abs=1e-15)
+        assert points[1][1] == report.f_trace[1]
+        assert report.status == STATUS_CONVERGED
+        assert abs(report.tau_tilde[0] - 0.5) < 1e-10
 
     @pytest.mark.parametrize("start", ["greedy", "offset"])
     def test_one_dictionary_per_point(self, kernel2, zhat_example, monkeypatch, start):
