@@ -27,11 +27,9 @@ from .refine import (
     hessian_F,
     least_squares_beta,
     objective_F,
-    reduced_hessian,
     run_newton,
-    stationarity_residual,
 )
-from .slepian import CriteriaReport, SlepianKernel, build_kernel, check_criteria
+from .slepian import SlepianKernel, build_kernel
 from .spectral import (
     SpikeTrain,
     Spectrum,

@@ -1,8 +1,9 @@
 """Command-line interface: kernel | phase1 | solve | mc | gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 threshold gate
-failure (gradcheck / mc). A JSON config file given via --config overrides
-the corresponding command-line flags.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (for solve: any
+refine status but converged), 3 threshold gate failure (gradcheck / mc). A
+JSON config file given via --config overrides the corresponding command-line
+flags.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .experiments import (
     run_monte_carlo,
 )
 from .peaks import PeakConfig, find_peaks
-from .refine import BoxConstraint, NewtonConfig, run_newton
+from .refine import STATUS_CONVERGED, BoxConstraint, NewtonConfig, run_newton
 from .slepian import build_kernel
 from .spectral import Spectrum, ells, eval_grid, load_spectrum_csv, pointwise_mul
 
@@ -144,7 +145,7 @@ def _cmd_solve(args) -> int:
         "grad_norm_final": report.grad_norm_final,
         "f_trace": list(report.f_trace),
     }))
-    return EXIT_NUMERICAL if report.status == "hessian_not_pd" else EXIT_OK
+    return EXIT_OK if report.status == STATUS_CONVERGED else EXIT_NUMERICAL
 
 
 def _cmd_mc(args) -> int:

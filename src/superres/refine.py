@@ -29,8 +29,11 @@ HESS_ASYM_RTOL = 1e-8
 FEAS_TOL = 1e-12
 ARMIJO_CONST = 1e-4
 MAX_BACKTRACKS = 40
+# Below this fraction of F a predicted decrease is rounding: F cannot resolve it.
+PRED_RTOL = 1024 * np.finfo(float).eps
 
 STATUS_CONVERGED = "converged"
+STATUS_STALLED = "stalled"
 STATUS_MAX_ITER = "max_iter"
 STATUS_HESSIAN_NOT_PD = "hessian_not_pd"
 
@@ -179,25 +182,28 @@ def hessian_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
     return _hessian(p, ls, _gradient(p, ls)[1])
 
 
-def reduced_hessian(h: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Replace active rows and columns with identity rows and columns."""
-    r = h.copy()
-    active = np.asarray(active, dtype=int)
-    r[active, :] = 0.0
-    r[:, active] = 0.0
-    r[active, active] = 1.0
-    return r
-
-
 def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
                cfg: NewtonConfig = NewtonConfig()) -> SolveReport:
-    """Projected Newton refinement of tau0 within the box.
+    """Projected Newton refinement of tau0 within the box (Bertsekas, SIAM J.
+    Control Optim. 20, 1982).
 
     The iterate is the offset u = tau - box.center in [-r, r]^K: the boxes are
     disjoint intervals of radius r < 1/4, so the projection is Euclidean
     clipping and step lengths are plain norms. F is 1-periodic in each
     position, so it is evaluated at box.center + u without wrapping.
     zhat must already be filtered by the kernel used to build the dictionary.
+
+    Step: on the free coordinates, |u_i| < r - eps with eps the last projected
+    step length, v solves H v = g by Cholesky; elsewhere v_i = g_i / H_ii, or
+    g_i where H_ii <= 0. The first of c = clip(u - lambda v, -r, r), lambda =
+    1, 1/2, ..., 2^-MAX_BACKTRACKS, whose positions differ from the iterate's
+    and which lowers F by ARMIJO_CONST times the predicted decrease
+    lambda g_free . v_free + g_active . (u - c)_active (Bertsekas' Armijo rule)
+    is taken.
+    Stop: converged when the projected full step is at most 1e-12 sqrt(K), or
+    when the predicted decrease g . (u - clip(u - v, -r, r)) is at most
+    PRED_RTOL * F; stalled when no trial point is taken; hessian_not_pd when
+    the free block has no Cholesky factor; max_iter when cfg.max_iter ran out.
     """
     r = box.radius
     u = wrap_signed(np.atleast_1d(np.asarray(tau0, dtype=float)), box.center)
@@ -215,30 +221,35 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         iterations += 1
         grad, w = _gradient(p, ls)
         hess = _hessian(p, ls, w)
-        reduced = reduced_hessian(hess, np.flatnonzero(np.abs(u) >= r - eps))
+        diag = hess.diagonal()
+        v = grad / np.where(diag > 0.0, diag, 1.0)
+        free = np.abs(u) < r - eps
         try:
-            rchol = np.linalg.cholesky(reduced)
+            chol = np.linalg.cholesky(hess[free][:, free])
         except np.linalg.LinAlgError:
             status = STATUS_HESSIAN_NOT_PD
             break
-        v = cho_solve((rchol, True), grad)
+        v[free] = cho_solve((chol, True), grad[free])
 
         u_full = np.clip(u - v, -r, r)
         step_norm = float(np.linalg.norm(u_full - u))
-        if step_norm <= eta_stop:
+        if step_norm <= eta_stop or grad @ (u - u_full) <= PRED_RTOL * p.f:
             status = STATUS_CONVERGED
             break
         eps = min(step_norm, r)
 
         for m in range(MAX_BACKTRACKS + 1):
             lam = 2.0**-m
-            cand = u_full if m == 0 else np.clip(u - lam * v, -r, r)
-            disp2 = float(np.sum((cand - u) ** 2))
-            q = _evaluate(box.center + cand, kernel, zhat)
-            if q.f - p.f <= -ARMIJO_CONST / lam * disp2:
+            cand = np.clip(u - lam * v, -r, r)
+            rho = box.center + cand
+            if np.array_equal(rho, box.center + u):  # rounds to the iterate: F is unchanged
+                continue
+            q = _evaluate(rho, kernel, zhat)
+            if q.f - p.f <= -ARMIJO_CONST * grad @ np.where(free, lam * v, u - cand):
                 break
         else:
-            break  # no acceptable step: stalled at numerical floor
+            status = STATUS_STALLED
+            break
         u, p = cand, q
         f_trace.append(p.f)
 
@@ -251,23 +262,3 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         iterations=iterations,
         active_set_final=np.flatnonzero(np.abs(u) >= r),
     )
-
-
-def stationarity_residual(rho, kernel: SlepianKernel, zhat: Spectrum,
-                          box: BoxConstraint) -> float:
-    """Norm of the gradient components that still point into the feasible box.
-
-    Inactive coordinates contribute their full gradient entry; coordinates on
-    the boundary contribute only if the descent direction points inward.
-    """
-    rho = wrap(np.atleast_1d(np.asarray(rho, dtype=float)))
-    grad = gradient_F(rho, kernel, zhat)
-    u = wrap_signed(rho, box.center)
-    if np.any(np.abs(u) > box.radius + FEAS_TOL):
-        raise ValueError("infeasible point")
-    res = grad.copy()
-    upper = u >= box.radius - FEAS_TOL
-    lower = u <= -box.radius + FEAS_TOL
-    res[upper] = np.maximum(grad[upper], 0.0)
-    res[lower] = np.minimum(grad[lower], 0.0)
-    return float(np.linalg.norm(res))

@@ -16,13 +16,12 @@ O(N log N) plus the selected tridiagonal solve, never an N x N matrix.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spectral import Spectrum, ells, eval_grid
+from .spectral import Spectrum
 
 # Eigenpairs of the commuting matrix whose concentrations are compared. In
 # every case measured the most concentrated is the top one; the others guard
@@ -107,95 +106,3 @@ def build_kernel(f_c: int, c: float) -> SlepianKernel:
         ghat = -ghat
     concentration = float(_gram_quotients(spec, ghat[:, None])[0])
     return SlepianKernel(f_c=f_c, c=c, ghat=ghat, concentration=concentration)
-
-
-def corr_gg(kernel: SlepianKernel, delta) -> np.ndarray:
-    """<g(. - rho1), g(. - rho2)> as a function of delta = rho1 - rho2."""
-    delta = np.asarray(delta, dtype=float)
-    ls = ells(kernel.f_c)
-    return np.cos(2.0 * np.pi * np.multiply.outer(delta, ls)) @ kernel.ghat**2
-
-
-def corr_gdg(kernel: SlepianKernel, delta) -> np.ndarray:
-    """<g(. - rho1), g'(. - rho2)> as a function of delta = rho1 - rho2."""
-    delta = np.asarray(delta, dtype=float)
-    ls = ells(kernel.f_c)
-    return -np.sin(2.0 * np.pi * np.multiply.outer(delta, ls)) @ (2.0 * np.pi * ls * kernel.ghat**2)
-
-
-def corr_dgdg(kernel: SlepianKernel, delta) -> np.ndarray:
-    """<g'(. - rho1), g'(. - rho2)> as a function of delta = rho1 - rho2."""
-    delta = np.asarray(delta, dtype=float)
-    ls = ells(kernel.f_c)
-    return np.cos(2.0 * np.pi * np.multiply.outer(delta, ls)) @ ((2.0 * np.pi * ls) ** 2 * kernel.ghat**2)
-
-
-@dataclass(frozen=True)
-class CriteriaReport:
-    """Empirically measured kernel constants at fixed N.
-
-    The underlying bounds are asymptotic, so this reports constants rather
-    than asserting pass/fail.
-    """
-
-    f_c: int
-    c: float
-    peak: float
-    concentration: float
-    decay_envelope_max: float  # max |g(t)| sin(pi t) sqrt(N) over t in [sigma, 1/2]
-    far_corr_gg: float  # max |<g, g shifted>| N sin(pi d) over d >= 2 sigma
-    far_corr_gdg: float  # max |<g, g' shifted>| sin(pi d) over d >= 2 sigma
-    far_corr_dgdg: float  # max |<g', g' shifted>| sin(pi d) / N over d >= 2 sigma
-    deriv_energy: float  # ||g'||_L2^2
-    near_autocorr_curvature: float  # max (1 - <g, g shifted>) / d^2 for small d
-    near_deriv_slope: float  # min |<g, g' shifted>| / (N^2 d) for small d
-    sign_convention_holds: bool  # sign <g(.-r1), g'(.-r2)> == sign(r1 - r2 wrapped)
-
-
-def check_criteria(kernel: SlepianKernel, sink=None, oversample: int = 32) -> CriteriaReport:
-    """Measure decay, far-shift correlation, and near-origin flatness constants."""
-    n = kernel.n
-    sigma = kernel.sigma
-    m = oversample * n
-    g = eval_grid(kernel.spectrum(), m)
-    t = np.arange(m) / m
-
-    tail = (t >= sigma) & (t <= 0.5)
-    decay_env = np.abs(g[tail]) * np.sin(np.pi * t[tail]) * np.sqrt(n)
-
-    far = np.linspace(2.0 * sigma, 0.5, 512)
-    sin_far = np.sin(np.pi * far)
-    far_gg = np.abs(corr_gg(kernel, far)) * n * sin_far
-    far_gdg = np.abs(corr_gdg(kernel, far)) * sin_far
-    far_dgdg = np.abs(corr_dgdg(kernel, far)) * sin_far / n
-
-    near = np.linspace(sigma / 256.0, sigma / 4.0, 64)
-    near_curv = (1.0 - corr_gg(kernel, near)) / near**2
-    near_slope = np.abs(corr_gdg(kernel, near)) / (n**2 * near)
-
-    # Moving rho1 past rho2 flips the correlation sign; wrapped negative
-    # offsets (rho1 - rho2 mod 1 close to 1) carry the opposite sign.
-    sign_ok = bool(
-        np.all(np.sign(corr_gdg(kernel, near)) == -1.0)
-        and np.all(np.sign(corr_gdg(kernel, -near)) == 1.0)
-    )
-
-    report = CriteriaReport(
-        f_c=kernel.f_c,
-        c=kernel.c,
-        peak=kernel.peak(),
-        concentration=kernel.concentration,
-        decay_envelope_max=float(decay_env.max()),
-        far_corr_gg=float(far_gg.max()),
-        far_corr_gdg=float(far_gdg.max()),
-        far_corr_dgdg=float(far_dgdg.max()),
-        deriv_energy=float(np.sum((2.0 * np.pi * ells(kernel.f_c)) ** 2 * kernel.ghat**2)),
-        near_autocorr_curvature=float(near_curv.max()),
-        near_deriv_slope=float(near_slope.min()),
-        sign_convention_holds=sign_ok,
-    )
-    if sink is not None:
-        out = sink if hasattr(sink, "write") else sys.stdout
-        for name, value in report.__dict__.items():
-            out.write(f"{name}: {value}\n")
-    return report

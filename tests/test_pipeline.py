@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import superres.cli
 from superres.circle import hausdorff, separation
 from superres.cli import main
 from superres.experiments import (
@@ -16,6 +17,7 @@ from superres.experiments import (
     sample_instance,
     trial_seed_for,
 )
+from superres.refine import SolveReport
 from superres.spectral import SpikeTrain, save_spectrum_csv, spike_fourier
 
 TAU_EXAMPLE = np.array([0.2995, 0.3663, 0.4332, 0.5000, 0.5668, 0.6337, 0.7005])
@@ -180,6 +182,20 @@ class TestCli:
         assert payload["status"] == "converged"
         got = np.sort(payload["positions"])
         assert np.abs(got - TAU_EXAMPLE).max() < 1e-9
+
+    @pytest.mark.parametrize("status,code", [
+        ("converged", 0), ("stalled", 2), ("max_iter", 2), ("hessian_not_pd", 2),
+    ])
+    def test_solve_exit_code_follows_status(self, example_csv, monkeypatch, capsys,
+                                            status, code):
+        def fixed_status(tau0, *args):
+            return SolveReport(tau_tilde=tau0, beta=np.zeros(tau0.size),
+                               f_trace=np.array([0.0]), grad_norm_final=0.0,
+                               status=status, iterations=1)
+
+        monkeypatch.setattr(superres.cli, "run_newton", fixed_status)
+        assert main(["solve", "--input", example_csv, "--fc", "50", "--c1", "1.5"]) == code
+        assert json.loads(capsys.readouterr().out)["status"] == status
 
     def test_solve_config_file_overrides(self, example_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Projected Newton refinement: dictionary, derivatives, projection, solver."""
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -13,6 +14,7 @@ from superres.refine import (
     FEAS_TOL,
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
+    STATUS_STALLED,
     BoxConstraint,
     DegenerateDictionaryError,
     NewtonConfig,
@@ -22,9 +24,7 @@ from superres.refine import (
     hessian_F,
     least_squares_beta,
     objective_F,
-    reduced_hessian,
     run_newton,
-    stationarity_residual,
 )
 from superres.experiments import _rejection_sample_positions
 from superres.slepian import SlepianKernel, build_kernel
@@ -160,6 +160,26 @@ def run_gradient_projection(tau0, kernel: SlepianKernel, zhat: Spectrum,
         iterations=iterations,
         active_set_final=eps_active_set(tau, box, 0.0),
     )
+
+
+def stationarity_residual(rho, kernel: SlepianKernel, zhat: Spectrum,
+                          box: BoxConstraint) -> float:
+    """Norm of the gradient components that still point into the feasible box.
+
+    Inactive coordinates contribute their full gradient entry; coordinates on
+    the boundary contribute only if the descent direction points inward.
+    """
+    rho = wrap(np.atleast_1d(np.asarray(rho, dtype=float)))
+    grad = gradient_F(rho, kernel, zhat)
+    u = wrap_signed(rho, box.center)
+    if np.any(np.abs(u) > box.radius + FEAS_TOL):
+        raise ValueError("infeasible point")
+    res = grad.copy()
+    upper = u >= box.radius - FEAS_TOL
+    lower = u <= -box.radius + FEAS_TOL
+    res[upper] = np.maximum(grad[upper], 0.0)
+    res[lower] = np.minimum(grad[lower], 0.0)
+    return float(np.linalg.norm(res))
 
 
 class TestBuildG:
@@ -342,25 +362,6 @@ class TestActiveSet:
             eps_active_set(np.array([0.55]), box, 0.0)
 
 
-class TestReducedHessian:
-    def test_elementwise_definition(self):
-        h = np.arange(16, dtype=float).reshape(4, 4)
-        h = h + h.T
-        active = np.array([1, 3])
-        r = reduced_hessian(h, active)
-        for i in range(4):
-            for j in range(4):
-                if i in (1, 3) or j in (1, 3):
-                    expected = 1.0 if i == j and i in (1, 3) else 0.0
-                    assert r[i, j] == expected
-                else:
-                    assert r[i, j] == h[i, j]
-
-    def test_empty_active_set_is_identity_map(self):
-        h = np.eye(3) * 5.0
-        assert np.array_equal(reduced_hessian(h, np.array([], dtype=int)), h)
-
-
 class TestProjectBox:
     def test_interior_unchanged(self):
         box = BoxConstraint(np.array([0.5]), 0.01)
@@ -465,7 +466,9 @@ class TestRunNewton:
         # F is barely convex at the start, so the first Newton step is about
         # 0.71 long and passes the antipode of the box centre. The full step
         # must clip to the face it points to, be accepted, and the solve must
-        # go on to the spike inside the box.
+        # go on to the spike inside the box. Leaving that face takes a scaled
+        # step, not a raw gradient step that clips to the far face, so each
+        # iteration costs about one evaluation.
         zhat = filtered_spikes(kernel2, [0.5], [1.0])
         tau0 = np.array([0.50838])
         box = BoxConstraint(tau0, 0.01)
@@ -485,6 +488,63 @@ class TestRunNewton:
         assert points[1][1] == report.f_trace[1]
         assert report.status == STATUS_CONVERGED
         assert abs(report.tau_tilde[0] - 0.5) < 1e-10
+        assert report.iterations <= 10
+        assert len(points) <= 10
+
+    def test_invariant_to_measurement_scale(self, kernel2):
+        # F, its gradient and its Hessian all scale with the measurement's
+        # energy, so the iterates must not depend on it. The start is on a
+        # face, where the step is the diagonally scaled gradient; at 1e-5 its
+        # curvature is far below ARMIJO_CONST.
+        box = BoxConstraint(np.array([0.497]), 0.008)
+        reports = [run_newton(np.array([0.505]), kernel2,
+                              filtered_spikes(kernel2, [0.5], [scale]), box)
+                   for scale in (1.0, 1e-5)]
+        for report in reports:
+            assert report.status == STATUS_CONVERGED
+            assert abs(report.tau_tilde[0] - 0.5) < 1e-12
+        assert reports[0].iterations == reports[1].iterations
+
+    def test_noisy_stationary_start_converges(self, kernel2):
+        # The worked example plus synth_noise(50, 0.1, seed=1), refined from
+        # phase 1's picks. A few steps reach a point where F cannot resolve
+        # Newton's predicted decrease; the solve must stop there as converged
+        # instead of running to max_iter on zero steps.
+        kernel1 = build_kernel(F_C, 1.5)
+        y = add(spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), F_C),
+                synth_noise(F_C, 0.1, 1))
+        tau0 = find_peaks(y, kernel1, PeakConfig(max_peaks=7)).tau0
+        box = BoxConstraint(tau0, kernel1.sigma)
+        zhat = pointwise_mul(y, kernel2.spectrum())
+        report = run_newton(tau0, kernel2, zhat, box)
+        assert report.status == STATUS_CONVERGED
+        assert report.iterations <= 20
+        start = stationarity_residual(tau0, kernel2, zhat, box)
+        assert stationarity_residual(report.tau_tilde, kernel2, zhat, box) <= 1e-5 * start
+
+    def test_no_descent_is_stalled(self, kernel2, monkeypatch):
+        # Every candidate is made no better than the start, so no step passes
+        # Armijo. The Newton step is about 1e-8, so halving it soon gives
+        # offsets that round to the start's positions; none of them may be
+        # evaluated or accepted.
+        zhat = filtered_spikes(kernel2, [0.5 + 1e-8], [1.0])
+        tau0 = np.array([0.5])
+        box = BoxConstraint(tau0, SIGMA1)
+        evaluate = superres.refine._evaluate
+        f0 = evaluate(tau0, kernel2, zhat).f
+        points = []
+
+        def flat(rho, kernel, z):
+            points.append(np.array(rho))
+            p = evaluate(rho, kernel, z)
+            return replace(p, f=max(p.f, f0))
+
+        monkeypatch.setattr(superres.refine, "_evaluate", flat)
+        report = run_newton(tau0, kernel2, zhat, box)
+        assert report.status == STATUS_STALLED
+        assert len(report.f_trace) == 1
+        assert len(points) > 1
+        assert not any(np.array_equal(rho, points[0]) for rho in points[1:])
 
     @pytest.mark.parametrize("start", ["greedy", "offset"])
     def test_one_dictionary_per_point(self, kernel2, zhat_example, monkeypatch, start):
