@@ -21,6 +21,7 @@ from .refine import (
     DegenerateDictionaryError,
     DictionaryMatrix,
     NewtonConfig,
+    Phase2Result,
     SolveReport,
     build_G,
     gradient_F,
@@ -28,6 +29,7 @@ from .refine import (
     least_squares_beta,
     objective_F,
     run_newton,
+    solve_phase2,
 )
 from .slepian import SlepianKernel, build_kernel
 from .spectral import (

@@ -24,9 +24,9 @@ from .experiments import (
     run_monte_carlo,
 )
 from .peaks import PeakConfig, find_peaks
-from .refine import STATUS_CONVERGED, BoxConstraint, NewtonConfig, run_newton
+from .refine import STATUS_CONVERGED, solve_phase2
 from .slepian import build_kernel
-from .spectral import Spectrum, ells, eval_grid, load_spectrum_csv, pointwise_mul
+from .spectral import Spectrum, ells, eval_grid, load_spectrum_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,20 +127,19 @@ def _cmd_solve(args) -> int:
     cfg = _peak_config(args)
     c2 = args.c2 if args.c2 is not None else 1.5 * args.c1
     kernel1 = build_kernel(args.fc, args.c1)
-    kernel2 = build_kernel(args.fc, c2)
     peaks = find_peaks(y, kernel1, cfg)
     if peaks.k_tilde == 0:
         print(json.dumps({"k_tilde": 0, "positions": [], "amplitudes": [],
-                          "status": "no_peaks", "f_trace": []}))
+                          "status": "no_peaks", "reseeds": 0, "f_trace": []}))
         return EXIT_OK
-    zhat = pointwise_mul(y, kernel2.spectrum())
-    box = BoxConstraint(peaks.tau0, kernel1.sigma)
-    report = run_newton(peaks.tau0, kernel2, zhat, box, NewtonConfig())
+    result = solve_phase2(y, peaks.tau0, kernel1, build_kernel(args.fc, c2))
+    report = result.report
     print(json.dumps({
         "k_tilde": peaks.k_tilde,
         "positions": list(report.tau_tilde),
         "amplitudes": list(report.beta),
         "status": report.status,
+        "reseeds": result.reseeds,
         "iterations": report.iterations,
         "grad_norm_final": report.grad_norm_final,
         "f_trace": list(report.f_trace),

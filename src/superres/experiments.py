@@ -19,15 +19,7 @@ import numpy as np
 
 from .circle import hausdorff, wrap
 from .peaks import MIN_OVERSAMPLE, PeakConfig, find_peaks
-from .refine import (
-    BoxConstraint,
-    DegenerateDictionaryError,
-    NewtonConfig,
-    gradient_F,
-    hessian_F,
-    objective_F,
-    run_newton,
-)
+from .refine import DegenerateDictionaryError, gradient_F, hessian_F, objective_F, solve_phase2
 from .slepian import SlepianKernel, build_kernel
 from .spectral import SpikeTrain, add, pointwise_mul, spike_fourier, synth_noise
 
@@ -76,10 +68,12 @@ class TrialRecord:
     hausdorff_err: float
     k_tilde: int
     status: str
+    reseeds: int  # prune-and-re-seed rounds in phase 2
     runtime_ms: float  # the whole trial, sampling included
     sample_ms: float  # instance, its spectrum and the noise
     tau_estimate: np.ndarray = field(default_factory=lambda: np.array([]))
     tau_true: np.ndarray = field(default_factory=lambda: np.array([]))
+    # box centres of phase 2's final round (the phase-1 picks if it did not run)
     tau_init: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
@@ -88,70 +82,26 @@ def cached_kernel(f_c: int, c: float) -> SlepianKernel:
     return build_kernel(f_c, c)
 
 
-SCREEN_BINS = 52  # bin weights 2**0 .. 2**51: their row sums are exact in float64
+def sample_positions(rng: np.random.Generator, k: int, sep_min: float) -> np.ndarray:
+    """k positions uniform on the circle conditioned on every wraparound gap >= sep_min.
 
-
-def _bin_screen(shape: tuple[int, int], sep_min: float):
-    """A cheap necessary test for separation >= sep_min, on candidate arrays of `shape`.
-
-    Each point falls in bin floor(x / w) with w = sep_min / (1 + 1e-9), so two
-    points in one bin are closer than sep_min. Bin b < 52 weighs 2**b and
-    later bins weigh 0. A row passes when the popcount of its weight sum
-    equals its number of weighted points, that is, when no two of them share
-    a bin; both come from a BLAS mat-vec, and the sum is exact. The returned
-    function gives the passing rows' indices in order. It works in buffers
-    made once here: fresh arrays of this size cost more to fault in than the
-    arithmetic.
-    """
-    # sep_min <= 0 weights no bin: every row passes, as every row is separated.
-    n_bins, scale = (SCREEN_BINS, (1.0 / sep_min) * (1 + 1e-9)) if sep_min > 0 else (0, 0.0)
-    ones = np.ones(shape[1])
-    scaled = np.empty(shape)
-    bins = np.empty(shape, dtype=np.int32)
-    weights = np.empty(shape)
-
-    def passing_rows(cand: np.ndarray) -> np.ndarray:
-        np.multiply(cand, scale, out=scaled)
-        # x >= 0, so truncation is floor; the clip keeps the cast in range
-        np.minimum(scaled, n_bins, out=bins, casting="unsafe")
-        counts = np.less(scaled, n_bins, out=weights) @ ones
-        np.ldexp(weights, bins, out=weights)
-        sums = weights @ ones
-        return np.flatnonzero(np.bitwise_count(sums.astype(np.int64)) == counts)
-
-    return passing_rows
-
-
-def _rejection_sample_positions(rng: np.random.Generator, k: int, sep_min: float,
-                                batch: int = 4096, max_batches: int = 2000) -> np.ndarray:
-    """First uniform draw (in a fixed scan order) whose separation clears sep_min.
-
-    Acceptance can be rare -- around 2e-5 for 14 points at separation 0.04 --
-    so candidates are drawn in batches. There `_bin_screen` passes about 1% of
-    a batch, and only those rows go to the exact sort-and-gap test, in their
-    original order. The screen never drops a row that test accepts, so the
-    accepted row and the generator's state are those of testing every row.
+    Seen from one of k uniform points, the gaps are Dirichlet(1, ..., 1) and
+    independent of it, and a flat Dirichlet conditioned on every part being
+    >= sep_min is sep_min + (1 - k sep_min) Dirichlet(1, ..., 1). So the gaps
+    are drawn that way and laid out from a uniform start, and the labels are
+    shuffled: an exact draw in O(k).
     """
     if k < 2:
         return rng.random(k)
-    screen = _bin_screen((batch, k), sep_min)
-    cand = np.empty((batch, k))
-    for _ in range(max_batches):
-        rng.random(out=cand)
-        rows = screen(cand)
-        srt = np.sort(cand[rows], axis=1)
-        gaps = np.diff(srt, axis=1, append=srt[:, :1] + 1.0)
-        ok = rows[gaps.min(axis=1) >= sep_min]
-        if ok.size:
-            return cand[ok[0]].copy()
-    raise ValueError(f"separation infeasible: no draw of k={k} points with "
-                     f"sep_min={sep_min:g} in {max_batches} batches of {batch}")
+    gaps = sep_min + (1.0 - k * sep_min) * rng.dirichlet(np.ones(k))
+    offsets = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    return rng.permutation(wrap(rng.random() + offsets))
 
 
 def sample_instance(cfg: ExperimentConfig, trial_seed: int) -> SpikeTrain:
-    """Rejection-sample well-separated positions; draw amplitudes from N(0, 1/N)."""
+    """Draw separated positions, then amplitudes from N(0, 1/N)."""
     rng = np.random.Generator(np.random.Philox(trial_seed))
-    positions = _rejection_sample_positions(rng, cfg.k, cfg.sep_min)
+    positions = sample_positions(rng, cfg.k, cfg.sep_min)
     amplitudes = rng.standard_normal(cfg.k) / np.sqrt(2 * cfg.f_c + 1)
     return SpikeTrain(positions, amplitudes)
 
@@ -169,7 +119,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, nu: float) -> TrialRecord:
     sample_ms = 1000.0 * (time.perf_counter() - start)
     y = add(xhat, noise)
 
-    k_tilde = 0
+    k_tilde = reseeds = 0
     estimate = np.array([])
     tau_init = np.array([])
     try:
@@ -181,19 +131,18 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, nu: float) -> TrialRecord:
         if k_tilde == 0:
             status, err = "no_peaks", FAILED_TRIAL_ERR
         else:
-            kernel2 = cached_kernel(cfg.f_c, cfg.c2)
-            zhat = pointwise_mul(y, kernel2.spectrum())
-            box = BoxConstraint(peaks.tau0, kernel1.sigma)
-            report = run_newton(peaks.tau0, kernel2, zhat, box, NewtonConfig())
-            estimate = report.tau_tilde
-            status = report.status
+            result = solve_phase2(y, peaks.tau0, kernel1, cached_kernel(cfg.f_c, cfg.c2))
+            tau_init, reseeds = result.centres, result.reseeds
+            estimate = result.report.tau_tilde
+            status = result.report.status
             err = hausdorff(estimate, truth.positions)
     except ValueError:  # DegenerateDictionaryError is a ValueError
         status, err = "error", FAILED_TRIAL_ERR
 
     runtime_ms = 1000.0 * (time.perf_counter() - start)
     return TrialRecord(seed=trial_seed, nu=nu, hausdorff_err=err, k_tilde=k_tilde,
-                       status=status, runtime_ms=runtime_ms, sample_ms=sample_ms,
+                       status=status, reseeds=reseeds, runtime_ms=runtime_ms,
+                       sample_ms=sample_ms,
                        tau_estimate=estimate, tau_true=truth.positions,
                        tau_init=tau_init)
 
@@ -213,10 +162,10 @@ def run_monte_carlo(cfg: ExperimentConfig, out_dir=None) -> list[TrialRecord]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "trials.csv", "w") as fh:
-            fh.write("nu,seed,err,status,runtime_ms,sample_ms\n")
+            fh.write("nu,seed,err,status,reseeds,runtime_ms,sample_ms\n")
             for r in records:
-                fh.write(f"{r.nu:.17g},{r.seed},{r.hausdorff_err:.17g},"
-                         f"{r.status},{r.runtime_ms:.3f},{r.sample_ms:.3f}\n")
+                fh.write(f"{r.nu:.17g},{r.seed},{r.hausdorff_err:.17g},{r.status},"
+                         f"{r.reseeds},{r.runtime_ms:.3f},{r.sample_ms:.3f}\n")
         with open(out / "summary.csv", "w") as fh:
             fh.write("nu,median_err,mean_err,success_rate\n")
             for nu in cfg.nu_grid:
@@ -280,7 +229,7 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
     degenerate = 0
     for point in range(n_points):
         k = GRADCHECK_K[point % len(GRADCHECK_K)]
-        positions = _rejection_sample_positions(rng, k, 4.0 * sigma1)
+        positions = sample_positions(rng, k, 4.0 * sigma1)
         amplitudes = rng.uniform(1.0, 10.0, k) * rng.choice([-1.0, 1.0], k)
         tau0 = wrap(positions + rng.uniform(-sigma1 / 2, sigma1 / 2, k))
         rho = wrap(tau0 + rng.uniform(-0.9 * sigma1, 0.9 * sigma1, k))

@@ -23,7 +23,7 @@ from scipy.linalg import cho_solve
 
 from .circle import wrap, wrap_dist, wrap_signed
 from .slepian import SlepianKernel
-from .spectral import Spectrum, half_band
+from .spectral import Spectrum, SpikeTrain, eval_grid, half_band, pointwise_mul, spike_fourier
 
 HESS_ASYM_RTOL = 1e-8
 FEAS_TOL = 1e-12
@@ -31,6 +31,8 @@ ARMIJO_CONST = 1e-4
 MAX_BACKTRACKS = 40
 # Below this fraction of F a predicted decrease is rounding: F cannot resolve it.
 PRED_RTOL = 1024 * np.finfo(float).eps
+MAX_RESEEDS = 5
+RESEED_OVERSAMPLE = 32  # residual grid points per coefficient, as phase 1's default
 
 STATUS_CONVERGED = "converged"
 STATUS_STALLED = "stalled"
@@ -262,3 +264,47 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         iterations=iterations,
         active_set_final=np.flatnonzero(np.abs(u) >= r),
     )
+
+
+@dataclass(frozen=True)
+class Phase2Result:
+    report: SolveReport  # the final round's
+    centres: np.ndarray  # the final round's box centres, in the order of report.tau_tilde
+    reseeds: int
+
+
+def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
+                 kernel2: SlepianKernel) -> Phase2Result:
+    """Phase 2 from the phase-1 picks tau0: run_newton on y filtered by kernel2,
+    in boxes of radius sigma1 around tau0, then prune-and-re-seed rounds.
+
+    hessian_not_pd in practice means that phase 1 missed a weak spike and an
+    atom has nothing to fit. While that is the status and fewer than
+    MAX_RESEEDS rounds ran, a round drops the atom with the smallest |beta|,
+    adds the grid point where the c1-filtered residual
+    ghat1 (y - sum_i beta_i e^{-2 pi i l tau_i}) is largest in magnitude among
+    those more than 2 sigma1 from every kept atom, and runs Newton again in
+    boxes around the new atoms. This is the local-improvement step of ADCG
+    (Boyd, Schiebinger and Recht, SIAM J. Optim. 27, 2017) and of sliding
+    Frank-Wolfe (Denoyelle, Duval, Peyre and Soubies, Inverse Problems 36, 2019).
+    """
+    zhat = pointwise_mul(y, kernel2.spectrum())
+    radius = kernel1.sigma
+    centres = np.asarray(tau0, dtype=float)
+    report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius), NewtonConfig())
+    m = RESEED_OVERSAMPLE * y.n
+    grid = np.arange(m) / m
+    reseeds = 0
+    while report.status == STATUS_HESSIAN_NOT_PD and reseeds < MAX_RESEEDS:
+        model = spike_fourier(SpikeTrain(report.tau_tilde, report.beta), y.f_c)
+        resid = np.abs(eval_grid(Spectrum(y.f_c, (y.coeffs - model.coeffs) * kernel1.ghat,
+                                          real_signal=True), m))
+        kept = np.delete(report.tau_tilde, np.argmin(np.abs(report.beta)))
+        far = np.all(wrap_dist(grid[:, None], kept) > 2.0 * radius, axis=1)
+        if not far.any():
+            break
+        centres = np.append(kept, grid[far][np.argmax(resid[far])])
+        report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius),
+                            NewtonConfig())
+        reseeds += 1
+    return Phase2Result(report=report, centres=centres, reseeds=reseeds)

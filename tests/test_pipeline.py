@@ -5,112 +5,71 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
-import superres.cli
-from superres.circle import hausdorff, separation
+import superres.refine
+from superres.circle import hausdorff, separation, wrap_dist
 from superres.cli import main
 from superres.experiments import (
-    SCREEN_BINS,
+    EXACT_RECOVERY_ERR,
     ConfigError,
     ExperimentConfig,
-    _bin_screen,
-    _rejection_sample_positions,
+    cached_kernel,
     gradcheck,
     run_monte_carlo,
     run_trial,
     sample_instance,
+    sample_positions,
     trial_seed_for,
 )
-from superres.refine import SolveReport
-from superres.spectral import SpikeTrain, save_spectrum_csv, spike_fourier
+from superres.peaks import PeakConfig, find_peaks
+from superres.refine import BoxConstraint, SolveReport, run_newton
+from superres.spectral import SpikeTrain, pointwise_mul, save_spectrum_csv, spike_fourier
 
 TAU_EXAMPLE = np.array([0.2995, 0.3663, 0.4332, 0.5000, 0.5668, 0.6337, 0.7005])
 ALPHA_EXAMPLE = np.array([10.0, -1.0, 1.0, -3.0, 2.0, -5.0, 2.0])
 
 EASY = ExperimentConfig(k=5, sep_min=0.08, trials=5, nu_grid=(0.0,))
+CRITERION_3 = ExperimentConfig(k=14, sep_min=0.04, trials=200, nu_grid=(0.0,))
 
 SIGMA1 = 1.5 / 101  # phase-1 kernel width at f_c = 50, c1 = 1.5
-# 0.003 and 0.01 leave points beyond the 52 weighted bins; 4 sigma1 is gradcheck's
-SAMPLER_SEP = (0.0, 0.003, 0.01, 0.04, 4.0 * SIGMA1)
-# 14 points at 4 sigma1 clear once in about 1e10 draws: tested as infeasible below
-SAMPLER_CASES = [(k, sep) for k in (1, 2, 3, 7, 14) for sep in SAMPLER_SEP
-                 if (k, sep) != (14, 4.0 * SIGMA1)]
-SAMPLER_SEEDS_PER_CASE = 20  # 480 seeds over the 24 cases
+SAMPLER_SEP = (0.0, 0.003, 0.01, 0.04, 4.0 * SIGMA1)  # 4 sigma1 is gradcheck's
+# (1, 0) and (3, 0.33333) are the extremes: no gap to keep, and all but 1e-5 of the circle fixed
+SEPARATED_CASES = [(k, sep) for k in (1, 2, 3, 7, 14) for sep in SAMPLER_SEP] + [
+    (3, 0.33333), (14, 1.0 / 14 - 1e-9)]
+# 14 points at 4 sigma1 clear once in 1e10 uniform draws: too rare for a rejection
+# reference sample
+KS_CASES = [(k, sep) for k in (1, 2, 3, 7, 14) for sep in SAMPLER_SEP
+            if (k, sep) != (14, 4.0 * SIGMA1)] + [(3, 0.1), (7, 0.05)]
+KS_DRAWS = 2000
+# at 14 points and 0.04 a reference draw takes about 4e4 uniform rows, so that case
+# takes 200 reference draws from 8192-row batches
+RARE_CASE, RARE_DRAWS, RARE_BATCH = (14, 0.04), 200, 8192
 
 
-def exactly_separated(rows, sep_min):
-    """The sampler's exact test: every wraparound gap of the row is >= sep_min."""
+def min_gaps(rows):
+    """The smallest wraparound gap of each row."""
     srt = np.sort(rows, axis=1)
-    gaps = np.diff(srt, axis=1, append=srt[:, :1] + 1.0)
-    return gaps.min(axis=1) >= sep_min
+    return np.diff(srt, axis=1, append=srt[:, :1] + 1.0).min(axis=1)
 
 
-def sort_based_sample_positions(rng, k, sep_min, batch=4096, max_batches=2000):
-    """The sampler without the bin screen: every candidate row gets the exact test."""
+def sort_based_sample_positions(rng, k, sep_min, batch=64):
+    """The reference law: the first of uniform draws whose every gap is >= sep_min."""
     if k < 2:
         return rng.random(k)
-    for _ in range(max_batches):
+    while True:
         cand = rng.random((batch, k))
-        ok = np.flatnonzero(exactly_separated(cand, sep_min))
+        ok = np.flatnonzero(min_gaps(cand) >= sep_min)
         if ok.size:
             return cand[ok[0]]
-    raise RuntimeError("separation infeasible")
 
 
-def _up(x):
-    return np.nextafter(x, np.inf)
-
-
-def _down(x):
-    return np.nextafter(x, -np.inf)
-
-
-def _next_at_least(prev, sep):
-    """The smallest float x with fl(x - prev) >= sep."""
-    x = prev + sep
-    while x - prev < sep:
-        x = _up(x)
-    while _down(x) - prev >= sep:
-        x = _down(x)
-    return x
-
-
-def _wrap_last(first, sep):
-    """The largest float x with fl(fl(first + 1) - x) >= sep."""
-    x = (first + 1.0) - sep
-    while (first + 1.0) - x < sep:
-        x = _down(x)
-    while (first + 1.0) - _up(x) >= sep:
-        x = _up(x)
-    return x
-
-
-def _crafted_rows(k, sep):
-    """Rows at the exact test's acceptance edge, in random column order.
-
-    Chains of k points whose consecutive gaps are the smallest that pass
-    (fl(gap) >= sep), started on and around the screen's bin edges b * w for
-    bin widths w within a few 1e-9 of sep; and rows whose wrap gap
-    (srt[0] + 1) - srt[-1] is the smallest that passes, with k - 2 chained
-    points between.
-    """
-    starts = set()
-    for b in range(SCREEN_BINS + 2):
-        for margin in (-2e-9, -1e-9, 0.0, 1e-9, 2e-9):
-            edge = b * sep * (1.0 + margin)
-            starts |= {_down(edge), edge, _up(edge)}
-    starts = sorted(x for x in starts if 0.0 <= x < 1.0 - k * sep)
-    rows = []
-    for start in starts:
-        chain = [start]
-        for _ in range(k - 1):
-            chain.append(_next_at_least(chain[-1], sep))
-        rows.append(chain)
-        last = _wrap_last(start, sep)
-        if last < 1.0:
-            rows.append(chain[:-1] + [last])
-    rows = np.array(rows)
-    return np.random.default_rng(k).permuted(rows, axis=1)
+def draw_statistics(sampler, seed, k, sep, draws=KS_DRAWS):
+    """Minimum gap, position 0 and the gap from position 0 to the last of the draws."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    rows = np.array([sampler(rng, k, sep) for _ in range(draws)])
+    return {"min_gap": min_gaps(rows), "position_0": rows[:, 0],
+            "label_gap": np.mod(rows[:, -1] - rows[:, 0], 1.0)}
 
 
 class TestConfig:
@@ -146,18 +105,13 @@ class TestSampling:
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
-    def test_zero_separation_accepts_first_draw(self):
-        cfg = ExperimentConfig(k=14, sep_min=0.0)
-        rng = np.random.Generator(np.random.Philox(7))
-        assert np.array_equal(sample_instance(cfg, 7).positions, rng.random((4096, 14))[0])
-
     @pytest.mark.parametrize("seed,digest", [
-        (0, "51a6e2b8101f2118545bb04cd8d03bb0b5bf015ebfa736776574207925fbecaf"),
-        (1, "9a9a00668183383015245ec7975c15c47924047b09b6a4be6740d49ca9969bb4"),
-        (2, "25b5776473b9281c8b7abffb3e7cdfe8e4ce85fe0fa0090375d7c6355cfa0e26"),
-    ])
+        (0, "dff3fca6c109ad211aeea2de58e68571acdfd63b988234e9b73678ec3ffd5d32"),
+        (1, "cb79b4da9cf4434aee35ba28754be3cd87e699873af4eb3434d8ada342799366"),
+        (2, "cd26c485b017382a361a9c52afbe956de2ad8607e0819763e12ba21385050b57"),
+    ], ids=lambda v: f"{v}"[:8])
     def test_instances_pinned(self, seed, digest):
-        # sha256 of positions and amplitudes as drawn by the sort-based sampler
+        # sha256 of positions and amplitudes as drawn by the spacing sampler
         x = sample_instance(ExperimentConfig(), seed)
         assert hashlib.sha256(x.positions.tobytes() + x.amplitudes.tobytes()).hexdigest() == digest
 
@@ -169,39 +123,30 @@ class TestSampling:
         assert len(seeds) == 30
 
 
+class TestSpacingSampler:
+    @pytest.mark.parametrize("k,sep", SEPARATED_CASES, ids=lambda v: f"{v:.4g}")
+    def test_every_draw_separated(self, k, sep):
+        rng = np.random.Generator(np.random.Philox(k))
+        rows = np.array([sample_positions(rng, k, sep) for _ in range(500)])
+        assert rows.shape == (500, k)
+        assert ((rows >= 0.0) & (rows < 1.0)).all()
+        assert (min_gaps(rows) >= sep).all()
+
+
 class TestRejectionSampler:
-    @pytest.mark.parametrize("k,sep", SAMPLER_CASES, ids=lambda v: f"{v:.4g}")
+    """The spacing sampler against the rejection sampler it replaced, kept as the reference law."""
+
+    @pytest.mark.parametrize("k,sep", KS_CASES, ids=lambda v: f"{v:.4g}")
     def test_matches_sort_based_sampler(self, k, sep):
-        for i in range(SAMPLER_SEEDS_PER_CASE):
-            seed = 1000 * k + 100 * SAMPLER_SEP.index(sep) + i
-            a = np.random.Generator(np.random.Philox(seed))
-            b = np.random.Generator(np.random.Philox(seed))
-            got = _rejection_sample_positions(a, k, sep)
-            assert np.array_equal(got, sort_based_sample_positions(b, k, sep))
-            assert np.array_equal(a.random(2), b.random(2))
-
-    @pytest.mark.parametrize("sep", SAMPLER_SEP[1:], ids=lambda v: f"{v:.4g}")
-    @pytest.mark.parametrize("k", (2, 3, 7, 14))
-    def test_screen_keeps_every_separated_row(self, k, sep):
-        rows = _crafted_rows(k, sep)
-        assert exactly_separated(rows, sep).all()
-        assert _bin_screen(rows.shape, sep)(rows).tolist() == list(range(len(rows)))
-
-    def test_screen_is_necessary_not_sufficient(self):
-        # two points 0.5 * sep apart: beyond the weighted bins the screen passes
-        # the row; in weighted bin 33 it drops it
-        rows = np.array([[0.1, 0.9, 0.9015], [0.1, 0.1005, 0.5]])
-        assert _bin_screen(rows.shape, 0.003)(rows).tolist() == [0]
-        assert not exactly_separated(rows, 0.003).any()
-
-    def test_infeasible_separation_is_value_error(self):
-        a = np.random.Generator(np.random.Philox(3))
-        b = np.random.Generator(np.random.Philox(3))
-        with pytest.raises(ValueError, match=r"k=14.*sep_min=0\.0594.*1 batches"):
-            _rejection_sample_positions(a, 14, 4.0 * SIGMA1, max_batches=1)
-        with pytest.raises(RuntimeError):
-            sort_based_sample_positions(b, 14, 4.0 * SIGMA1, max_batches=1)
-        assert np.array_equal(a.random(2), b.random(2))
+        # two-sample KS against the rejection draws; the label gap checks the shuffle
+        got = draw_statistics(sample_positions, 1, k, sep)
+        if (k, sep) == RARE_CASE:
+            ref = draw_statistics(lambda rng, k, sep: sort_based_sample_positions(
+                rng, k, sep, batch=RARE_BATCH), 2, k, sep, draws=RARE_DRAWS)
+        else:
+            ref = draw_statistics(sort_based_sample_positions, 2, k, sep)
+        for name in got:
+            assert stats.ks_2samp(got[name], ref[name]).pvalue > 1e-4, name
 
 
 class TestRunTrial:
@@ -216,6 +161,29 @@ class TestRunTrial:
         assert record.hausdorff_err == pytest.approx(
             hausdorff(record.tau_estimate, record.tau_true)
         )
+
+    def test_reseed_recovers_a_missed_spike(self):
+        # phase 1 misses a weak spike, so Newton from its picks alone ends hessian_not_pd
+        seed = trial_seed_for(CRITERION_3, 0, 5)
+        y = spike_fourier(sample_instance(CRITERION_3, seed), 50)
+        kernel1, kernel2 = cached_kernel(50, 1.5), cached_kernel(50, 2.25)
+        tau0 = find_peaks(y, kernel1, PeakConfig(max_peaks=14)).tau0
+        alone = run_newton(tau0, kernel2, pointwise_mul(y, kernel2.spectrum()),
+                           BoxConstraint(tau0, kernel1.sigma))
+        assert alone.status == "hessian_not_pd"
+        record = run_trial(CRITERION_3, seed, 0.0)
+        assert record.reseeds >= 1 and record.status == "converged"
+        assert record.hausdorff_err < EXACT_RECOVERY_ERR
+        assert not np.array_equal(record.tau_init, tau0)
+
+    def test_tau_init_is_the_final_box_centres(self):
+        # every estimate lies in the box around the tau_init entry of its index
+        records = [run_trial(CRITERION_3, trial_seed_for(CRITERION_3, 0, i), 0.0)
+                   for i in range(20)]
+        assert sum(r.reseeds > 0 for r in records) >= 3
+        for r in records:
+            assert r.tau_init.shape == r.tau_estimate.shape == (r.k_tilde,)
+            assert np.all(wrap_dist(r.tau_estimate, r.tau_init) <= SIGMA1 + 1e-12)
 
     def test_noisy_trial_reports_finite_error(self):
         record = run_trial(EASY, trial_seed_for(EASY, 0, 0), 0.05)
@@ -244,7 +212,7 @@ class TestMonteCarlo:
         records = run_monte_carlo(cfg, out_dir=tmp_path)
         assert len(records) == 3
         trials = (tmp_path / "trials.csv").read_text().splitlines()
-        assert trials[0] == "nu,seed,err,status,runtime_ms,sample_ms"
+        assert trials[0] == "nu,seed,err,status,reseeds,runtime_ms,sample_ms"
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert summary[0] == "nu,median_err,mean_err,success_rate"
         assert len(summary) == 2
@@ -332,7 +300,7 @@ class TestCli:
                                f_trace=np.array([0.0]), grad_norm_final=0.0,
                                status=status, iterations=1)
 
-        monkeypatch.setattr(superres.cli, "run_newton", fixed_status)
+        monkeypatch.setattr(superres.refine, "run_newton", fixed_status)
         assert main(["solve", "--input", example_csv, "--fc", "50", "--c1", "1.5"]) == code
         assert json.loads(capsys.readouterr().out)["status"] == status
 
@@ -426,14 +394,14 @@ class TestCli:
         capsys.readouterr()
         assert (tmp_path / "mc" / "trials.csv").exists()
 
-    def test_mc_infeasible_separation_is_numerical_error(self, capsys):
-        # three points at 0.33333 fit, but a uniform draw clears that about once in 1e10
+    def test_mc_tightest_separation_draws_separated_spikes(self, capsys):
+        # three points at 0.33333 fit with 1e-5 to spare: a uniform draw would
+        # clear that about once in 1e10, the spacing sampler every time
         assert main(["mc", "--k", "3", "--sep-min", "0.33333", "--nu", "0.0",
-                     "--trials", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: separation infeasible: ")
-        assert "k=3" in err and "sep_min=0.33333" in err and "2000 batches" in err
+                     "--trials", "1"]) == 0
+        assert "success_rate=1.000" in capsys.readouterr().out
+        cfg = ExperimentConfig(k=3, sep_min=0.33333, nu_grid=(0.0,), trials=1)
+        assert separation(sample_instance(cfg, trial_seed_for(cfg, 0, 0)).positions) >= 0.33333
 
     def test_gradcheck_exit(self, capsys):
         assert main(["gradcheck", "--n-points", "3"]) == 0

@@ -1,6 +1,6 @@
 """Projected Newton refinement: dictionary, derivatives, projection, solver."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
 import numpy as np
@@ -12,6 +12,7 @@ from superres.circle import wrap, wrap_dist, wrap_signed
 from superres.peaks import PeakConfig, find_peaks
 from superres.refine import (
     FEAS_TOL,
+    MAX_RESEEDS,
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
     STATUS_STALLED,
@@ -25,8 +26,9 @@ from superres.refine import (
     least_squares_beta,
     objective_F,
     run_newton,
+    solve_phase2,
 )
-from superres.experiments import _rejection_sample_positions
+from superres.experiments import sample_positions
 from superres.slepian import SlepianKernel, build_kernel
 from superres.spectral import (
     Spectrum,
@@ -323,7 +325,7 @@ class TestFullBandOracle:
         sigma1 = 1.5 / (2 * f_c + 1)
         rng = np.random.Generator(np.random.Philox(f_c))
         for k in (1, 3, 7):
-            tau = _rejection_sample_positions(rng, k, 4.0 * sigma1)
+            tau = sample_positions(rng, k, 4.0 * sigma1)
             alpha = rng.uniform(1.0, 10.0, k) * rng.choice([-1.0, 1.0], k)
             y = add(spike_fourier(SpikeTrain(tau, alpha), f_c), synth_noise(f_c, 0.1, k))
             zhat = pointwise_mul(y, kernel.spectrum())
@@ -567,6 +569,42 @@ class TestRunNewton:
         monkeypatch.setattr(superres.refine, "build_G", counted)
         report = run_newton(tau0, kernel2, zhat_example, box)
         assert len(calls) == len(report.f_trace)
+
+
+class TestSolvePhase2:
+    @pytest.fixture()
+    def example(self):
+        kernel1 = build_kernel(F_C, 1.5)
+        y = spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), F_C)
+        return y, find_peaks(y, kernel1, PeakConfig(max_peaks=7)).tau0, kernel1
+
+    def test_without_reseed_it_is_run_newton(self, kernel2, example):
+        y, tau0, kernel1 = example
+        result = solve_phase2(y, tau0, kernel1, kernel2)
+        direct = run_newton(tau0, kernel2, pointwise_mul(y, kernel2.spectrum()),
+                            BoxConstraint(tau0, kernel1.sigma), NewtonConfig())
+        assert result.reseeds == 0 and np.array_equal(result.centres, tau0)
+        for f in fields(SolveReport):
+            assert np.array_equal(getattr(result.report, f.name), getattr(direct, f.name)), f.name
+
+    def test_reseed_rounds_are_bounded(self, kernel2, example, monkeypatch):
+        y, tau0, kernel1 = example
+        calls = []
+
+        def never_pd(tau, *args):
+            calls.append(tau)
+            return SolveReport(tau_tilde=tau, beta=np.arange(1.0, tau.size + 1),
+                               f_trace=np.array([0.0]), grad_norm_final=0.0,
+                               status="hessian_not_pd", iterations=1)
+
+        monkeypatch.setattr(superres.refine, "run_newton", never_pd)
+        result = solve_phase2(y, tau0, kernel1, kernel2)
+        assert result.reseeds == MAX_RESEEDS and len(calls) == MAX_RESEEDS + 1
+        # each round drops the smallest |beta|, which sits first, and appends one centre
+        assert np.array_equal(calls[1][:-1], tau0[1:])
+        assert np.array_equal(result.centres, calls[-1])
+        for tau in calls:
+            assert tau.size == 7 and np.all(wrap_dist(tau[:-1], tau[-1]) > 2.0 * kernel1.sigma)
 
 
 class TestGradientProjection:
