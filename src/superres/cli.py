@@ -1,9 +1,9 @@
 """Command-line interface: kernel | phase1 | solve | mc | gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (for solve: any
-refine status but converged), 3 threshold gate failure (gradcheck / mc). A
-JSON config file given via --config overrides the corresponding command-line
-flags.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (for solve: every
+status but converged, no_peaks included), 3 threshold gate failure
+(gradcheck / mc). A JSON config file given via --config overrides the
+corresponding command-line flags.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _cmd_solve(args) -> int:
     if peaks.k_tilde == 0:
         print(json.dumps({"k_tilde": 0, "positions": [], "amplitudes": [],
                           "status": "no_peaks", "reseeds": 0, "f_trace": []}))
-        return EXIT_OK
+        return EXIT_NUMERICAL
     result = solve_phase2(y, peaks.tau0, kernel1, build_kernel(args.fc, c2))
     report = result.report
     print(json.dumps({

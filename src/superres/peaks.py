@@ -3,6 +3,8 @@
 The measurement spectrum is multiplied by the kernel coefficients (circular
 convolution in time), the magnitude of the result is scanned on a fine grid,
 and peaks are selected greedily and polished by Newton steps on its derivative.
+The polish reads z, z' and z'' from their coefficient rows in `spectral.blocks`
+form, built once per scan, so a step costs J + B exponentials (about 2 sqrt(N)).
 After each selection the neighborhood of radius 2 sigma around the peak is
 erased so nearby lobes of the same spike cannot be picked again.
 """
@@ -17,7 +19,7 @@ import numpy as np
 
 from .circle import wrap, wrap_dist
 from .slepian import SlepianKernel
-from .spectral import Spectrum, eval_grid, half_band, pointwise_mul
+from .spectral import Spectrum, block_sum, blocks, eval_grid, half_band, pointwise_mul
 
 NEWTON_STEPS = 3  # quadratic convergence: from one grid cell (1/M) to below 1e-12
 MIN_OVERSAMPLE = 4
@@ -48,20 +50,24 @@ class PeakResult:
     iterations: int
 
 
-def _polish(z: Spectrum, t: float, half_width: float) -> tuple[float, float]:
-    """Newton steps on z' from grid point t, clipped to t -/+ half_width; returns (t, |z(t)|).
-
-    Stops where sign(z) z'' >= 0, since |z| is not concave there.
-    """
+def _derivative_blocks(z: Spectrum) -> np.ndarray:
+    """The half-band coefficient rows of z, z' and z'' in `blocks` form, 3 x J x B."""
     ls, weights = half_band(z.f_c)
     w = 2j * np.pi * ls
     c0 = weights * z.coeffs[z.f_c:]
     c1 = w * c0  # z'
-    c2 = w * c1  # z''
+    return blocks(np.stack([c0, c1, w * c1]))
+
+
+def _polish(zb: np.ndarray, t: float, half_width: float) -> tuple[float, float]:
+    """Newton steps on z' from grid point t, clipped to t -/+ half_width; returns (t, |z(t)|).
+
+    zb is `_derivative_blocks(z)`. Stops where sign(z) z'' >= 0, since |z| is
+    not concave there.
+    """
     lo, hi = t - half_width, t + half_width
     for step in range(NEWTON_STEPS + 1):
-        e = np.exp(w * t)
-        f0, f1, f2 = (np.dot(c, e).real for c in (c0, c1, c2))
+        f0, f1, f2 = block_sum(zb, t)
         if step == NEWTON_STEPS or np.sign(f0) * f2 >= 0.0:
             break
         t = min(max(t - f1 / f2, lo), hi)
@@ -76,6 +82,7 @@ def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResul
     z = pointwise_mul(y, kernel.spectrum())
     m = cfg.oversample * y.n
     az = np.abs(eval_grid(z, m))
+    zb = _derivative_blocks(z)
 
     cap = math.ceil(1.0 / (2.0 * sigma))
     if cfg.max_peaks is not None:
@@ -94,7 +101,7 @@ def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResul
         iterations += 1
         if az[idx] <= cfg.eta:
             break
-        t, value = _polish(z, idx / m, 1.0 / m)
+        t, value = _polish(zb, idx / m, 1.0 / m)
         if tau0 and wrap_dist(t, np.asarray(tau0)).min() <= 2.0 * sigma:
             continue  # the polish slid back onto an earlier pick's lobe
         tau0.append(float(t))

@@ -11,7 +11,8 @@ candidate's record becomes the next iterate's state.
 
 The derivatives are evaluated in the frequency domain. Every inner product
 there is a Hermitian sum, so G holds only the rows l >= 0 and each product is
-the real part of a sum weighted by `spectral.half_band`.
+the real part of a sum weighted by `spectral.half_band`. Its phasors come from
+`spectral.phasors`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from scipy.linalg import cho_solve
 
 from .circle import wrap, wrap_dist, wrap_signed
 from .slepian import SlepianKernel
-from .spectral import Spectrum, SpikeTrain, eval_grid, half_band, pointwise_mul, spike_fourier
+from .spectral import (Spectrum, SpikeTrain, eval_grid, half_band, phasors, pointwise_mul,
+                       spike_fourier)
 
 HESS_ASYM_RTOL = 1e-8
 FEAS_TOL = 1e-12
@@ -98,9 +100,8 @@ def build_G(rho, kernel: SlepianKernel) -> DictionaryMatrix:
         iu = np.triu_indices(rho.size, k=1)
         if np.any(d[iu] == 0.0):
             raise DegenerateDictionaryError("degenerate dictionary")
-    ls, weights = half_band(kernel.f_c)
-    G = kernel.ghat[kernel.f_c:, None] * np.exp(-2j * np.pi * np.outer(ls, rho))
-    gh = (weights[:, None] * G).conj().T
+    G = kernel.ghat[kernel.f_c:, None] * phasors(kernel.f_c, -rho)
+    gh = (half_band(kernel.f_c)[1][:, None] * G).conj().T
     gram = (gh @ G).real
     try:
         chol = np.linalg.cholesky(gram)
@@ -155,10 +156,10 @@ def _hessian(p: _Point, ls: np.ndarray, w: np.ndarray) -> np.ndarray:
     gl2g = (d.gh @ (ls[:, None] ** 2 * d.G)).real
     w2 = (d.gh @ (ls**2 * p.r)).real
 
-    db = np.diag(p.beta)
-    term1 = -2.0 * db @ gl2g @ db
-    term2 = -2.0 * db @ np.diag(w2)
-    bracket = db @ glg - np.diag(w)
+    b = p.beta
+    term1 = -2.0 * b[:, None] * gl2g * b
+    term2 = np.diag(-2.0 * b * w2)
+    bracket = b[:, None] * glg - np.diag(w)
     term3 = -2.0 * bracket @ cho_solve((d.gram_chol, True), bracket.T)
     h = term1 + term2 + term3
 

@@ -4,13 +4,19 @@ A Spectrum holds the complex Fourier coefficients of a signal band-limited
 to l in [-f_C : f_C]; coeffs[i] corresponds to frequency l = i - f_C.
 Spike trains produce such spectra; band-limited noise is synthesized with
 exact total energy; trigonometric polynomials are evaluated on grids via
-zero-padded inverse real FFT or pointwise by direct summation, both over
+zero-padded inverse real FFT or pointwise by a direct block sum, both over
 l >= 0 only (see `half_band`).
+
+Phasors e^{2 pi i l t}, l = 0 .. f_C, are built from about 2 sqrt(N)
+exponentials: with l = j B + k, B = isqrt(f_C) + 1, each is the product of
+e^{2 pi i j B t} and e^{2 pi i k t} (see `phasors` and `block_sum`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,15 +30,63 @@ def ells(f_c: int) -> np.ndarray:
     return np.arange(-f_c, f_c + 1)
 
 
+@lru_cache(maxsize=16)
 def half_band(f_c: int) -> tuple[np.ndarray, np.ndarray]:
     """l = 0 .. f_C and weights w with sum_{|l| <= f_C} a[l] = Re sum_{l >= 0} w[l] a[l].
 
     It holds for Hermitian a: real signals' spectra and their products with even
     real kernels or powers of 2 pi i l. Symmetry is checked where a real_signal
     Spectrum is made, so the folded sums need no imaginary-residue check.
+    Both arrays are cached per f_C and read-only.
     """
     ls = np.arange(f_c + 1)
-    return ls, np.where(ls == 0, 1.0, 2.0)
+    weights = np.where(ls == 0, 1.0, 2.0)
+    ls.setflags(write=False)
+    weights.setflags(write=False)
+    return ls, weights
+
+
+def _split(f_c: int) -> tuple[int, int]:
+    """(J, B): l = 0 .. f_C as l = j B + k, B = isqrt(f_C) + 1, J = ceil((f_C + 1) / B)."""
+    b = math.isqrt(f_c) + 1
+    return -(-(f_c + 1) // b), b
+
+
+@lru_cache(maxsize=16)
+def _factor_freqs(j: int, b: int) -> np.ndarray:
+    """2 pi i [0, 1, .., B - 1, 0, B, .., (J - 1) B]: the lo factors' frequencies, then the hi ones'."""
+    w = 2j * np.pi * np.concatenate([np.arange(b), b * np.arange(j)])
+    w.setflags(write=False)
+    return w
+
+
+def phasors(f_c: int, t) -> np.ndarray:
+    """e^{2 pi i l t[i]} at row l = 0 .. f_C, column i, as e^{2 pi i j B t} e^{2 pi i k t}
+    (see `_split`): J + B exponentials and N complex products per position.
+
+    The error is that of the direct exp: both are set by the rounding of the
+    argument 2 pi l t.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    j, b = _split(f_c)
+    e = np.exp(np.multiply.outer(_factor_freqs(j, b), t))
+    return (e[b:, None, :] * e[None, :b, :]).reshape(-1, t.size)[: f_c + 1]
+
+
+def blocks(c: np.ndarray) -> np.ndarray:
+    """Rows c[..., l], l = 0 .. f_C, zero-padded and reshaped to J x B blocks,
+    with l = j B + k at [..., j, k] (see `_split`), for `block_sum`."""
+    j, b = _split(c.shape[-1] - 1)
+    padded = np.zeros(c.shape[:-1] + (j * b,), dtype=c.dtype)
+    padded[..., : c.shape[-1]] = c
+    return padded.reshape(c.shape[:-1] + (j, b))
+
+
+def block_sum(cb: np.ndarray, t: float) -> np.ndarray:
+    """Re sum_l c[..., l] e^{2 pi i l t} for c in `blocks` form, as Re(hi^T C lo)."""
+    j, b = cb.shape[-2:]
+    e = np.exp(_factor_freqs(j, b) * t)
+    return np.dot(np.dot(cb, e[:b]), e[b:]).real
 
 
 @dataclass(frozen=True)
@@ -143,11 +197,10 @@ def eval_grid(s: Spectrum, m: int) -> np.ndarray:
 
 
 def eval_point(s: Spectrum, t: float) -> float:
-    """Evaluate the real signal at a single position by direct summation."""
+    """Evaluate the real signal at a single position by direct summation (`block_sum`)."""
     if not s.real_signal:
         raise ValueError("eval_point requires a real_signal spectrum")
-    ls, weights = half_band(s.f_c)
-    return float(np.dot(weights * s.coeffs[s.f_c:], np.exp(2j * np.pi * ls * t)).real)
+    return float(block_sum(blocks(half_band(s.f_c)[1] * s.coeffs[s.f_c:]), t))
 
 
 def save_spectrum_csv(s: Spectrum, path) -> None:

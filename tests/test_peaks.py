@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from superres.circle import wrap, wrap_dist
-from superres.peaks import PeakConfig, PeakResult, _polish, find_peaks
+from superres.peaks import (
+    NEWTON_STEPS,
+    PeakConfig,
+    PeakResult,
+    _derivative_blocks,
+    _polish,
+    find_peaks,
+)
 from superres.refine import BoxConstraint
 from superres.slepian import build_kernel
 from superres.spectral import (
@@ -15,6 +22,7 @@ from superres.spectral import (
     add,
     eval_grid,
     eval_point,
+    half_band,
     pointwise_mul,
     spike_fourier,
     synth_noise,
@@ -145,7 +153,7 @@ class TestInvariances:
         t0, h = 0.5 + kernel50.sigma, 1e-4
         assert eval_point(z, t0) > 0
         assert eval_point(z, t0 + h) + eval_point(z, t0 - h) - 2 * eval_point(z, t0) > 0
-        t, value = _polish(z, t0, 1.0 / (32 * 101))
+        t, value = _polish(_derivative_blocks(z), t0, 1.0 / (32 * 101))
         assert t == t0
         assert value == pytest.approx(eval_point(z, t0), rel=1e-12)
 
@@ -178,10 +186,31 @@ class TestSeededRecovery:
             assert match.max() <= sigma, f"trial {trial}"
 
 
-def masked_scan(y, kernel, cfg):
-    """Reference greedy scan: re-mask all M grid points and take the argmax per pick."""
+def direct_polish(z, t, half_width):
+    """Reference polish: one complex exp per frequency per Newton step."""
+    ls, weights = half_band(z.f_c)
+    w = 2j * np.pi * ls
+    c0 = weights * z.coeffs[z.f_c:]
+    c1 = w * c0
+    c2 = w * c1
+    lo, hi = t - half_width, t + half_width
+    for step in range(NEWTON_STEPS + 1):
+        e = np.exp(w * t)
+        f0, f1, f2 = (np.dot(c, e).real for c in (c0, c1, c2))
+        if step == NEWTON_STEPS or np.sign(f0) * f2 >= 0.0:
+            break
+        t = min(max(t - f1 / f2, lo), hi)
+    return wrap(t), abs(f0)
+
+
+def masked_scan(y, kernel, cfg, direct=False):
+    """Reference greedy scan: re-mask all M grid points and take the argmax per pick.
+
+    direct=True polishes with `direct_polish` instead of the library's `_polish`.
+    """
     sigma = kernel.sigma
     z = pointwise_mul(y, kernel.spectrum())
+    zb = _derivative_blocks(z)
     m = cfg.oversample * y.n
     az = np.abs(eval_grid(z, m))
     grid = np.arange(m) / m
@@ -196,7 +225,10 @@ def masked_scan(y, kernel, cfg):
         idx = int(np.argmax(masked))  # ties resolve to the smallest index
         if masked[idx] <= cfg.eta:
             break
-        t, value = _polish(z, grid[idx], 1.0 / m)
+        if direct:
+            t, value = direct_polish(z, grid[idx], 1.0 / m)
+        else:
+            t, value = _polish(zb, grid[idx], 1.0 / m)
         alive[idx] = False
         if tau0 and wrap_dist(t, np.asarray(tau0)).min() <= 2.0 * sigma:
             continue
@@ -225,3 +257,22 @@ class TestCandidateScan:
             assert np.array_equal(result.tau0, tau0), f"trial {trial}"
             assert np.array_equal(result.peak_values, values), f"trial {trial}"
             assert result.iterations == iterations, f"trial {trial}"
+
+
+class TestDirectPolishOracle:
+    @pytest.mark.parametrize("f_c, trials", [(50, 20), (1000, 4)])
+    def test_picks_match_direct_exp_polish(self, f_c, trials):
+        kernel = build_kernel(f_c, 1.5)
+        cfg = PeakConfig(max_peaks=14)
+        rng = np.random.default_rng(f_c)
+        for trial in range(trials):
+            positions = rng.random(14)
+            amplitudes = rng.standard_normal(14) / np.sqrt(2 * f_c + 1)
+            y = add(spike_fourier(SpikeTrain(positions, amplitudes), f_c),
+                    synth_noise(f_c, 0.1 * (trial % 2), trial))
+            tau0, values, iterations = masked_scan(y, kernel, cfg, direct=True)
+            result = find_peaks(y, kernel, cfg)
+            assert result.iterations == iterations, f"trial {trial}"
+            assert result.k_tilde == tau0.size, f"trial {trial}"
+            assert wrap_dist(result.tau0, tau0).max() <= 1e-12, f"trial {trial}"
+            assert np.abs(result.peak_values - values).max() <= 1e-12 * values.max()

@@ -24,7 +24,13 @@ from superres.experiments import (
 )
 from superres.peaks import PeakConfig, find_peaks
 from superres.refine import BoxConstraint, SolveReport, run_newton
-from superres.spectral import SpikeTrain, pointwise_mul, save_spectrum_csv, spike_fourier
+from superres.spectral import (
+    Spectrum,
+    SpikeTrain,
+    pointwise_mul,
+    save_spectrum_csv,
+    spike_fourier,
+)
 
 TAU_EXAMPLE = np.array([0.2995, 0.3663, 0.4332, 0.5000, 0.5668, 0.6337, 0.7005])
 ALPHA_EXAMPLE = np.array([10.0, -1.0, 1.0, -3.0, 2.0, -5.0, 2.0])
@@ -303,6 +309,14 @@ class TestCli:
         monkeypatch.setattr(superres.refine, "run_newton", fixed_status)
         assert main(["solve", "--input", example_csv, "--fc", "50", "--c1", "1.5"]) == code
         assert json.loads(capsys.readouterr().out)["status"] == status
+
+    def test_solve_no_peaks_is_numerical_exit(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        save_spectrum_csv(Spectrum(50, np.zeros(101), real_signal=True), path)
+        assert main(["solve", "--input", str(path), "--fc", "50", "--c1", "1.5"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "no_peaks"
+        assert payload["k_tilde"] == 0
 
     def test_solve_config_file_overrides(self, example_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"

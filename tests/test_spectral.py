@@ -9,10 +9,13 @@ from superres.spectral import (
     SpikeTrain,
     Spectrum,
     add,
+    block_sum,
+    blocks,
     ells,
     eval_grid,
     eval_point,
     load_spectrum_csv,
+    phasors,
     pointwise_mul,
     save_spectrum_csv,
     spike_fourier,
@@ -210,6 +213,31 @@ class TestEvalGrid:
             eval_grid(s, 16)
         with pytest.raises(ValueError, match="real_signal"):
             eval_point(s, 0.3)
+
+
+class TestPhasors:
+    # f_c = 2 and 50 leave padding in the J x B blocks; f_c = 3 and 8 are B^2 - 1.
+    F_CS = [1, 2, 3, 8, 50, 1000, 4000]
+    TS = np.array([-0.731, -1e-3, 0.0, 0.25, 0.5, 0.3183, 1.0 - 1e-9, np.nextafter(1.0, 0.0)])
+
+    @pytest.mark.parametrize("f_c", F_CS)
+    def test_matches_direct_exp(self, f_c):
+        ref = np.exp(2j * np.pi * np.outer(np.arange(f_c + 1), self.TS))
+        e = phasors(f_c, self.TS)
+        assert e.shape == ref.shape
+        assert np.abs(e - ref).max() <= 16 * (f_c + 1) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("f_c", F_CS)
+    def test_block_sum_matches_weighted_dot(self, f_c):
+        rng = np.random.Generator(np.random.Philox(f_c))
+        c = rng.standard_normal((3, f_c + 1)) + 1j * rng.standard_normal((3, f_c + 1))
+        cb = blocks(c)
+        for t in self.TS:
+            ref = (c @ np.exp(2j * np.pi * np.arange(f_c + 1) * t)).real
+            got = block_sum(cb, t)
+            assert got.shape == (3,)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(c).sum(axis=1))
+            assert abs(block_sum(cb[1], t) - ref[1]) <= 1e-12 * np.abs(c[1]).sum()
 
 
 class TestCsvRoundTrip:
