@@ -25,8 +25,9 @@ def wrap_signed(a, b):
 
 
 def wrap_dist(a, b):
-    """Wraparound distance min(a - b mod 1, b - a mod 1), in [0, 1/2]."""
-    d = np.mod(np.asarray(a, dtype=float) - b, 1.0)
+    """Wraparound distance min(d, 1 - d), d = |a - b| mod 1, in [0, 1/2]. As a - b
+    rounds to exactly -(b - a), wrap_dist(a, b) == wrap_dist(b, a) bit for bit."""
+    d = np.mod(np.abs(np.asarray(a, dtype=float) - b), 1.0)
     return np.minimum(d, 1.0 - d)
 
 
@@ -41,10 +42,9 @@ def hausdorff(a, b) -> float:
 
 
 def separation(tau) -> float:
-    """Minimum pairwise wraparound distance of a position vector."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    """Minimum pairwise wraparound distance, in O(K log K): the closest pair are
+    neighbours in sorted order (the last and the first too), in rounding as well."""
+    tau = np.sort(wrap(np.atleast_1d(np.asarray(tau, dtype=float))))
     if tau.size < 2:
         raise ValueError("separation undefined")
-    d = wrap_dist(tau[:, None], tau[None, :])
-    iu = np.triu_indices(tau.size, k=1)
-    return float(d[iu].min())
+    return float(wrap_dist(tau, np.roll(tau, 1)).min())

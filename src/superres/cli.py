@@ -23,7 +23,7 @@ from .experiments import (
     gradcheck,
     run_monte_carlo,
 )
-from .peaks import PeakConfig, find_peaks
+from .peaks import OVERSAMPLE, PeakConfig, find_peaks
 from .refine import STATUS_CONVERGED, solve_phase2
 from .slepian import build_kernel
 from .spectral import Spectrum, ells, eval_grid, load_spectrum_csv
@@ -195,7 +195,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fc", type=int, required=True)
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--oversample", type=int, default=32)
+    p.add_argument("--oversample", type=int, default=OVERSAMPLE)
     p.add_argument("--config", type=str, default=None)
     p.set_defaults(func=_cmd_phase1)
 
@@ -205,7 +205,7 @@ def build_parser() -> _Parser:
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--c2", type=float, default=None)
     p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--oversample", type=int, default=32)
+    p.add_argument("--oversample", type=int, default=OVERSAMPLE)
     p.add_argument("--config", type=str, default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -218,7 +218,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nu", type=float, nargs="+", default=[0.0, 0.025, 0.05, 0.1, 0.2])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oversample", type=int, default=32)
+    p.add_argument("--oversample", type=int, default=OVERSAMPLE)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--min-success-rate", dest="min_success_rate", type=float, default=None)
     p.add_argument("--config", type=str, default=None)

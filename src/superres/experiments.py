@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .circle import hausdorff, wrap
-from .peaks import MIN_OVERSAMPLE, PeakConfig, find_peaks
+from .peaks import MIN_OVERSAMPLE, OVERSAMPLE, PeakConfig, find_peaks
 from .refine import DegenerateDictionaryError, gradient_F, hessian_F, objective_F, solve_phase2
 from .slepian import SlepianKernel, build_kernel
 from .spectral import SpikeTrain, add, pointwise_mul, spike_fourier, synth_noise
@@ -44,7 +44,7 @@ class ExperimentConfig:
     nu_grid: Sequence[float] = (0.0, 0.025, 0.05, 0.1, 0.2)
     trials: int = 100
     seed: int = 0
-    oversample: int = 32
+    oversample: int = OVERSAMPLE
 
     def __post_init__(self):
         if self.k < 1:

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .circle import wrap, wrap_dist, wrap_signed
+from .circle import separation, wrap, wrap_signed
+from .peaks import OVERSAMPLE, greedy_scan
 from .slepian import SlepianKernel
-from .spectral import (Spectrum, SpikeTrain, eval_grid, half_band, phasors, pointwise_mul,
-                       spike_fourier)
+from .spectral import Spectrum, SpikeTrain, half_band, phasors, pointwise_mul, spike_fourier
 
 HESS_ASYM_RTOL = 1e-8
 FEAS_TOL = 1e-12
@@ -34,7 +34,6 @@ MAX_BACKTRACKS = 40
 # Below this fraction of F a predicted decrease is rounding: F cannot resolve it.
 PRED_RTOL = 1024 * np.finfo(float).eps
 MAX_RESEEDS = 5
-RESEED_OVERSAMPLE = 32  # residual grid points per coefficient, as phase 1's default
 
 STATUS_CONVERGED = "converged"
 STATUS_STALLED = "stalled"
@@ -69,11 +68,8 @@ class BoxConstraint:
         object.__setattr__(self, "center", center)
         if not 0.0 < self.radius < 0.25:
             raise ValueError("radius must lie in (0, 1/4)")
-        if center.size > 1:
-            d = wrap_dist(center[:, None], center[None, :])
-            iu = np.triu_indices(center.size, k=1)
-            if np.any(d[iu] <= 2.0 * self.radius):
-                raise ValueError("box centers must be separated by more than twice the radius")
+        if center.size > 1 and separation(center) <= 2.0 * self.radius:
+            raise ValueError("box centers must be separated by more than twice the radius")
 
 
 @dataclass(frozen=True)
@@ -95,11 +91,8 @@ class SolveReport:
 def build_G(rho, kernel: SlepianKernel) -> DictionaryMatrix:
     """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} (l >= 0) and its Gram factor."""
     rho = wrap(np.atleast_1d(np.asarray(rho, dtype=float)))
-    if rho.size > 1:
-        d = wrap_dist(rho[:, None], rho[None, :])
-        iu = np.triu_indices(rho.size, k=1)
-        if np.any(d[iu] == 0.0):
-            raise DegenerateDictionaryError("degenerate dictionary")
+    if rho.size > 1 and separation(rho) == 0.0:
+        raise DegenerateDictionaryError("degenerate dictionary")
     G = kernel.ghat[kernel.f_c:, None] * phasors(kernel.f_c, -rho)
     gh = (half_band(kernel.f_c)[1][:, None] * G).conj().T
     gram = (gh @ G).real
@@ -282,29 +275,27 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
     hessian_not_pd in practice means that phase 1 missed a weak spike and an
     atom has nothing to fit. While that is the status and fewer than
     MAX_RESEEDS rounds ran, a round drops the atom with the smallest |beta|,
-    adds the grid point where the c1-filtered residual
-    ghat1 (y - sum_i beta_i e^{-2 pi i l tau_i}) is largest in magnitude among
-    those more than 2 sigma1 from every kept atom, and runs Newton again in
-    boxes around the new atoms. This is the local-improvement step of ADCG
-    (Boyd, Schiebinger and Recht, SIAM J. Optim. 27, 2017) and of sliding
-    Frank-Wolfe (Denoyelle, Duval, Peyre and Soubies, Inverse Problems 36, 2019).
+    adds the next pick of phase 1's greedy scan (`peaks.greedy_scan`, erasure
+    radius 2 sigma1) on phase 2's own residual
+    zhat - ghat2 sum_i beta_i e^{-2 pi i l tau_i}, with the kept atoms taken,
+    and runs Newton again in boxes around the new atoms. This is the
+    local-improvement step of ADCG (Boyd, Schiebinger and Recht, SIAM J.
+    Optim. 27, 2017) and of sliding Frank-Wolfe (Denoyelle, Duval, Peyre and
+    Soubies, Inverse Problems 36, 2019).
     """
     zhat = pointwise_mul(y, kernel2.spectrum())
     radius = kernel1.sigma
     centres = np.asarray(tau0, dtype=float)
     report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius), NewtonConfig())
-    m = RESEED_OVERSAMPLE * y.n
-    grid = np.arange(m) / m
     reseeds = 0
     while report.status == STATUS_HESSIAN_NOT_PD and reseeds < MAX_RESEEDS:
         model = spike_fourier(SpikeTrain(report.tau_tilde, report.beta), y.f_c)
-        resid = np.abs(eval_grid(Spectrum(y.f_c, (y.coeffs - model.coeffs) * kernel1.ghat,
-                                          real_signal=True), m))
+        resid = Spectrum(y.f_c, zhat.coeffs - kernel2.ghat * model.coeffs, real_signal=True)
         kept = np.delete(report.tau_tilde, np.argmin(np.abs(report.beta)))
-        far = np.all(wrap_dist(grid[:, None], kept) > 2.0 * radius, axis=1)
-        if not far.any():
+        pick = greedy_scan(resid, radius, OVERSAMPLE * y.n, 1, taken=kept).tau0
+        if not pick.size:
             break
-        centres = np.append(kept, grid[far][np.argmax(resid[far])])
+        centres = np.append(kept, pick)
         report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius),
                             NewtonConfig())
         reseeds += 1

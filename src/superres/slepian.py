@@ -54,10 +54,6 @@ class SlepianKernel:
     def spectrum(self) -> Spectrum:
         return Spectrum(self.f_c, self.ghat.astype(complex), real_signal=True)
 
-    def peak(self) -> float:
-        """Kernel value at the origin."""
-        return float(self.ghat.sum())
-
 
 def _sinc_circulant_spectrum(n: int, sigma: float) -> np.ndarray:
     """rfft of the 2N circulant that embeds the sinc Toeplitz matrix

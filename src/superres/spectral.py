@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circle import wrap, wrap_dist
+from .circle import separation, wrap
 
 HERMITIAN_RTOL = 1e-12
 
@@ -101,11 +101,8 @@ class SpikeTrain:
         amp = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
         if pos.size != amp.size or pos.size < 1:
             raise ValueError("positions and amplitudes must have equal length >= 1")
-        if pos.size > 1:
-            d = wrap_dist(pos[:, None], pos[None, :])
-            iu = np.triu_indices(pos.size, k=1)
-            if np.any(d[iu] == 0.0):
-                raise ValueError("positions must be distinct")
+        if pos.size > 1 and separation(pos) == 0.0:
+            raise ValueError("positions must be distinct")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "amplitudes", amp)
 

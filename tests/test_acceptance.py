@@ -94,13 +94,13 @@ def test_criterion_2_newton_refinement(example_spectrum, example_peaks,
 
 
 def test_criterion_3_noiseless_success_rate():
-    """200 random 14-spike instances, no noise: >= 95% exact recoveries."""
+    """200 random 14-spike instances, no noise: >= 98% exact recoveries."""
     cfg = ExperimentConfig(k=14, sep_min=0.04, trials=200, nu_grid=(0.0,))
     records = run_monte_carlo(cfg)
     errs = np.array([r.hausdorff_err for r in records])
     rate = float(np.mean(errs < EXACT_RECOVERY_ERR))
-    ok = rate >= 0.95
-    _report(3, "noiseless success rate", ok, f"success rate={rate:.3f} (gate 0.95)")
+    ok = rate >= 0.98
+    _report(3, "noiseless success rate", ok, f"success rate={rate:.3f} (gate 0.98)")
 
 
 def test_criterion_4_noise_degradation(kernel1):

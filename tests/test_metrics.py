@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superres.circle import (
@@ -14,6 +14,9 @@ from superres.circle import (
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+# 3232 = 32 N at f_c = 50: a re-seed grid cell 96 cells (2 sigma1 at c1 = 1.5)
+# from an atom that sits on a grid point
+CELL_575, CELL_671 = 575 / 3232, 671 / 3232
 point_sets = st.lists(unit, min_size=1, max_size=8).map(np.array)
 
 
@@ -41,9 +44,12 @@ class TestWrap:
         a = np.array([0.1, 0.5])
         assert wrap_dist(a, 0.9).shape == (2,)
 
-    @given(unit, unit)
+    @given(st.floats(min_value=-4.0, max_value=4.0), st.floats(min_value=-4.0, max_value=4.0))
+    @example(CELL_575, CELL_671)
     def test_dist_symmetry(self, a, b):
-        assert wrap_dist(a, b) == pytest.approx(wrap_dist(b, a))
+        # bit for bit: a separation test must not depend on the side it is asked from
+        assert wrap_dist(a, b) == wrap_dist(b, a)
+        assert wrap_dist(np.array([a]), b)[0] == wrap_dist(b, np.array([a]))[0]
 
     @given(unit, unit)
     def test_dist_bounded_by_half(self, a, b):
@@ -122,6 +128,13 @@ class TestSeparation:
                 for j in range(i + 1, 6)
             )
             assert separation(pts) == pytest.approx(brute)
+
+    @given(st.lists(unit, min_size=2, max_size=12).map(np.array))
+    @example(np.array([CELL_575, 0.9, CELL_671]))
+    @example(np.array([0.25, 0.5, 0.25]))
+    def test_neighbour_minimum_is_the_pairwise_minimum_bit_for_bit(self, pts):
+        iu = np.triu_indices(pts.size, k=1)
+        assert separation(pts) == wrap_dist(pts[:, None], pts[None, :])[iu].min()
 
     def test_fewer_than_two_raises(self):
         with pytest.raises(ValueError, match="separation"):

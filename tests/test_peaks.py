@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superres.circle import wrap, wrap_dist
 from superres.peaks import (
     NEWTON_STEPS,
+    OVERSAMPLE,
     PeakConfig,
     PeakResult,
     _derivative_blocks,
     _polish,
     find_peaks,
+    greedy_scan,
 )
 from superres.refine import BoxConstraint
 from superres.slepian import build_kernel
@@ -203,10 +207,12 @@ def direct_polish(z, t, half_width):
     return wrap(t), abs(f0)
 
 
-def masked_scan(y, kernel, cfg, direct=False):
+def masked_scan(y, kernel, cfg, direct=False, taken=()):
     """Reference greedy scan: re-mask all M grid points and take the argmax per pick.
 
     direct=True polishes with `direct_polish` instead of the library's `_polish`.
+    The grid within 2 sigma of a taken position is masked from the start, and a
+    polish that lands there is dropped.
     """
     sigma = kernel.sigma
     z = pointwise_mul(y, kernel.spectrum())
@@ -218,6 +224,8 @@ def masked_scan(y, kernel, cfg, direct=False):
     if cfg.max_peaks is not None:
         cap = min(cap, cfg.max_peaks)
     alive = (az >= np.roll(az, 1)) & (az >= np.roll(az, -1))
+    for t in taken:
+        alive &= wrap_dist(grid, t) > 2.0 * sigma
     tau0, values, iterations = [], [], 0
     while len(tau0) < cap and alive.any():
         iterations += 1
@@ -230,7 +238,7 @@ def masked_scan(y, kernel, cfg, direct=False):
         else:
             t, value = _polish(zb, grid[idx], 1.0 / m)
         alive[idx] = False
-        if tau0 and wrap_dist(t, np.asarray(tau0)).min() <= 2.0 * sigma:
+        if wrap_dist(t, np.concatenate([taken, tau0])).min(initial=1.0) <= 2.0 * sigma:
             continue
         tau0.append(float(t))
         values.append(float(value))
@@ -254,6 +262,50 @@ class TestCandidateScan:
                     synth_noise(50, nu, trial))
             tau0, values, iterations = masked_scan(y, kernel50, cfg)
             result = find_peaks(y, kernel50, cfg)
+            assert np.array_equal(result.tau0, tau0), f"trial {trial}"
+            assert np.array_equal(result.peak_values, values), f"trial {trial}"
+            assert result.iterations == iterations, f"trial {trial}"
+
+
+def scan_input(kernel, seed, nu):
+    """The c1-filtered measurement of 14 random spikes plus noise."""
+    rng = np.random.default_rng(seed)
+    y = add(spike_fourier(SpikeTrain(rng.random(14), rng.standard_normal(14)), kernel.f_c),
+            synth_noise(kernel.f_c, nu, seed))
+    return y, pointwise_mul(y, kernel.spectrum())
+
+
+class TestGreedyScan:
+    @given(st.integers(0, 2**16), st.sampled_from([0.0, 0.1]), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_no_pick_within_two_sigma_of_a_taken_position(self, kernel50, seed, nu, n_taken):
+        _, z = scan_input(kernel50, seed, nu)
+        taken = np.random.default_rng(seed + 1).random(n_taken)
+        result = greedy_scan(z, kernel50.sigma, OVERSAMPLE * z.n, 14, taken=taken)
+        assert result.k_tilde >= 1
+        assert wrap_dist(result.tau0[:, None], taken[None, :]).min() > 2.0 * kernel50.sigma
+
+    @given(st.integers(0, 2**16), st.sampled_from([0.0, 0.1]))
+    @settings(max_examples=20, deadline=None)
+    def test_without_taken_it_is_find_peaks(self, kernel50, seed, nu):
+        y, z = scan_input(kernel50, seed, nu)
+        result = find_peaks(y, kernel50, PeakConfig())
+        cap = math.ceil(1.0 / (2.0 * kernel50.sigma))
+        scan = greedy_scan(z, kernel50.sigma, OVERSAMPLE * z.n, cap)
+        assert np.array_equal(scan.tau0, result.tau0)
+        assert np.array_equal(scan.peak_values, result.peak_values)
+        assert scan.iterations == result.iterations
+
+    @pytest.mark.parametrize("n_taken", [1, 4, 13])
+    def test_taken_matches_masked_scan(self, kernel50, n_taken):
+        cfg = PeakConfig(max_peaks=14)
+        for trial in range(5):
+            y, z = scan_input(kernel50, trial, 0.1 * (trial % 2))
+            # taken positions both on and off the grid
+            taken = np.random.default_rng(trial).random(n_taken)
+            taken[0] = np.round(taken[0] * OVERSAMPLE * z.n) / (OVERSAMPLE * z.n)
+            tau0, values, iterations = masked_scan(y, kernel50, cfg, taken=taken)
+            result = greedy_scan(z, kernel50.sigma, OVERSAMPLE * z.n, 14, taken=taken)
             assert np.array_equal(result.tau0, tau0), f"trial {trial}"
             assert np.array_equal(result.peak_values, values), f"trial {trial}"
             assert result.iterations == iterations, f"trial {trial}"

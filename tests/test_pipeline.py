@@ -182,6 +182,13 @@ class TestRunTrial:
         assert record.hausdorff_err < EXACT_RECOVERY_ERR
         assert not np.array_equal(record.tau_init, tau0)
 
+    def test_reseed_scan_on_phase2_residual_repairs_trial_77(self):
+        # Phase 1 misses a weak spike, and the c1-filtered residual's largest
+        # value lies on leakage: the re-seed must scan phase 2's own residual.
+        record = run_trial(CRITERION_3, trial_seed_for(CRITERION_3, 0, 77), 0.0)
+        assert record.status == "converged" and record.reseeds >= 1
+        assert record.hausdorff_err < EXACT_RECOVERY_ERR
+
     def test_tau_init_is_the_final_box_centres(self):
         # every estimate lies in the box around the tau_init entry of its index
         records = [run_trial(CRITERION_3, trial_seed_for(CRITERION_3, 0, i), 0.0)

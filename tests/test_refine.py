@@ -587,6 +587,19 @@ class TestSolvePhase2:
         for f in fields(SolveReport):
             assert np.array_equal(getattr(result.report, f.name), getattr(direct, f.name)), f.name
 
+    def test_reseed_next_to_an_atom_on_a_grid_point(self, kernel2):
+        # A round meets a candidate 96 grid cells (2 sigma1) from a kept atom that
+        # sits on a grid point: the re-seed's distance test and BoxConstraint's
+        # must round that gap alike, or the new boxes overlap and it raises.
+        kernel1 = build_kernel(F_C, 1.5)
+        y = add(spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), F_C),
+                synth_noise(F_C, 0.01, 12))
+        tau0 = find_peaks(y, kernel1, PeakConfig()).tau0
+        assert tau0.size == 20
+        result = solve_phase2(y, tau0, kernel1, kernel2)
+        assert result.reseeds >= 1
+        BoxConstraint(result.centres, kernel1.sigma)
+
     def test_reseed_rounds_are_bounded(self, kernel2, example, monkeypatch):
         y, tau0, kernel1 = example
         calls = []
