@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_THRESHOLD = 3
+OVERSAMPLE_HELP = "phase-1 grid points per coefficient: the grid has at least oversample*N points"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,7 +196,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fc", type=int, required=True)
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--oversample", type=int, default=OVERSAMPLE)
+    p.add_argument("--oversample", type=int, default=OVERSAMPLE, help=OVERSAMPLE_HELP)
     p.add_argument("--config", type=str, default=None)
     p.set_defaults(func=_cmd_phase1)
 
@@ -205,7 +206,7 @@ def build_parser() -> _Parser:
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--c2", type=float, default=None)
     p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--oversample", type=int, default=OVERSAMPLE)
+    p.add_argument("--oversample", type=int, default=OVERSAMPLE, help=OVERSAMPLE_HELP)
     p.add_argument("--config", type=str, default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -218,7 +219,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nu", type=float, nargs="+", default=[0.0, 0.025, 0.05, 0.1, 0.2])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oversample", type=int, default=OVERSAMPLE)
+    p.add_argument("--oversample", type=int, default=OVERSAMPLE, help=OVERSAMPLE_HELP)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--min-success-rate", dest="min_success_rate", type=float, default=None)
     p.add_argument("--config", type=str, default=None)

@@ -1,13 +1,16 @@
 """Greedy initialization: iterative peak picking on the filtered measurement.
 
 The measurement spectrum is multiplied by the kernel coefficients (circular
-convolution in time), the magnitude of the result is scanned on a fine grid,
-and peaks are selected greedily and polished by Newton steps on its derivative.
-The polish reads z, z' and z'' from their coefficient rows in `spectral.blocks`
-form, built once per scan, so a step costs J + B exponentials (about 2 sqrt(N)).
-After each selection the neighborhood of radius 2 sigma around the peak is
-erased so nearby lobes of the same spike cannot be picked again. Phase 2's
-re-seed runs the same scan (`greedy_scan`) on its residual.
+convolution in time), the magnitude of the result is scanned on a fine grid
+(at least oversample * N points, rounded up to a 5-smooth FFT length), and
+its local maxima are selected greedily and polished by Newton steps on its
+derivative. The polish reads z, z' and z'' from their coefficient rows in
+`spectral.blocks` form, built once per scan, so a step costs J + B
+exponentials (about 2 sqrt(N)). After each selection the local maxima within
+2 sigma of the peak are erased so nearby lobes of the same spike cannot be
+picked again; they are kept in position order, so the erased arc is found by
+binary search. Phase 2's re-seed runs the same scan (`greedy_scan`) on its
+residual.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import wrap, wrap_dist
+from .circle import wrap_dist
 from .slepian import SlepianKernel
-from .spectral import Spectrum, block_sum, blocks, eval_grid, half_band, pointwise_mul
+from .spectral import (Spectrum, block_sum, blocks, eval_grid, half_band, pointwise_mul,
+                       smooth_len)
 
 NEWTON_STEPS = 3  # quadratic convergence: from one grid cell (1/M) to below 1e-12
 OVERSAMPLE = 32  # grid points per coefficient, for phase 1 and the phase-2 re-seed
@@ -32,7 +36,7 @@ class PeakConfig:
     """Knobs for the greedy scan."""
 
     eta: float = 0.0  # stop once the residual maximum falls to <= eta
-    oversample: int = OVERSAMPLE  # grid size M = oversample * N
+    oversample: int = OVERSAMPLE  # grid size M >= oversample * N, a 5-smooth FFT length
     max_peaks: Optional[int] = None
 
     def __post_init__(self):
@@ -65,15 +69,16 @@ def _polish(zb: np.ndarray, t: float, half_width: float) -> tuple[float, float]:
     """Newton steps on z' from grid point t, clipped to t -/+ half_width; returns (t, |z(t)|).
 
     zb is `_derivative_blocks(z)`. Stops where sign(z) z'' >= 0, since |z| is
-    not concave there.
+    not concave there. The step runs in Python floats: the same IEEE operations
+    as in numpy scalars, at a fraction of the call cost.
     """
     lo, hi = t - half_width, t + half_width
     for step in range(NEWTON_STEPS + 1):
-        f0, f1, f2 = block_sum(zb, t)
-        if step == NEWTON_STEPS or np.sign(f0) * f2 >= 0.0:
+        f0, f1, f2 = block_sum(zb, t).tolist()
+        if step == NEWTON_STEPS or ((f0 > 0.0) - (f0 < 0.0)) * f2 >= 0.0:
             break
         t = min(max(t - f1 / f2, lo), hi)
-    return wrap(t), abs(f0)
+    return t % 1.0, abs(f0)
 
 
 def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResult:
@@ -89,36 +94,75 @@ def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResul
 
 def greedy_scan(z: Spectrum, sigma: float, m: int, cap: int, eta: float = 0.0,
                 taken=()) -> PeakResult:
-    """At most cap greedy picks of |z| on the M-point grid, each polished off-grid.
+    """At most cap greedy picks of |z| on a grid of at least m points, each polished off-grid.
 
-    Positions in taken are erased before the first pick and, like the picks,
-    reject a polish that slides back to within 2 sigma of them.
+    The grid has `smooth_len(m)` points, a fast FFT length. Positions in taken
+    are erased before the first pick and, like the picks, reject a polish that
+    slides back to within 2 sigma of them.
     """
-    az = np.abs(eval_grid(z, m))
+    m = smooth_len(m)
+    az = eval_grid(z, m)
+    np.abs(az, out=az)
     zb = _derivative_blocks(z)
     # Candidates are the grid's local maxima only: a point on the monotone skirt
     # of an erased neighborhood must not be picked ahead of a weak real spike.
+    inner = az[1:-1]
+    is_max = np.empty(m, dtype=bool)
+    np.greater_equal(inner, az[:-2], out=is_max[1:-1])
+    is_max[1:-1] &= inner >= az[2:]
+    is_max[0] = az[0] >= az[-1] and az[0] >= az[1]
+    is_max[-1] = az[-1] >= az[-2] and az[-1] >= az[0]
+    cand = np.flatnonzero(is_max)  # in position order, so an erased arc is a slice
+    pos = cand / m
+    peak = az[cand]
     # Erasure only removes candidates, so one sort orders every later choice.
-    cand = np.flatnonzero((az >= np.roll(az, 1)) & (az >= np.roll(az, -1)))
-    cand = cand[np.argsort(-az[cand], kind="stable")]  # ties: smallest index first
-    occupied = [float(t) for t in np.atleast_1d(taken)]
-    for t in occupied:
-        cand = cand[wrap_dist(cand / m, t) > 2.0 * sigma]
+    order = np.argsort(-peak, kind="stable").tolist()  # ties: smallest index first
+    alive = np.ones(cand.size, dtype=bool)
+    two_sigma = 2.0 * sigma
+    reach = two_sigma + 1.0 / m  # past any rounding of the exact tests below
+    arcs = np.array([-1.0 - reach, -1.0 + reach, -reach, reach, 1.0 - reach, 1.0 + reach])
+    # Occupied positions by bucket of width >= reach: whatever lies within reach of t
+    # sits in t's bucket or a neighbour.
+    n_buckets = max(1, int(1.0 / reach))
+    buckets: list[list[float]] = [[] for _ in range(n_buckets)]
+
+    def bucket(t: float) -> int:
+        return int(t % 1.0 * n_buckets) % n_buckets
+
+    def occupy(t: float) -> None:
+        """Kill the candidates within 2 sigma of t: the exact test, inside t's arc only."""
+        buckets[bucket(t)].append(t)
+        ends = np.searchsorted(pos, t % 1.0 + arcs).tolist()
+        for i0, i1 in zip(ends[::2], ends[1::2]):
+            if i0 < i1:
+                alive[i0:i1] &= wrap_dist(pos[i0:i1], t) > two_sigma
+
+    def slid_back(t: float) -> bool:
+        """Whether t is within 2 sigma of an occupied position, by `wrap_dist`'s
+        arithmetic in Python floats: |a - b| mod 1, then min(d, 1 - d)."""
+        b = bucket(t)
+        near = (o for k in (b - 1, b, b + 1) for o in buckets[k % n_buckets])
+        return any(min(d, 1.0 - d) <= two_sigma for d in (abs(t - o) % 1.0 for o in near))
+
+    for t in np.atleast_1d(taken).tolist():
+        occupy(float(t))
     tau0: list[float] = []
     values: list[float] = []
     iterations = 0
-    while len(tau0) < cap and cand.size:
-        idx, cand = cand[0], cand[1:]
-        iterations += 1
-        if az[idx] <= eta:
+    for i in order:
+        if len(tau0) >= cap:
             break
-        t, value = _polish(zb, idx / m, 1.0 / m)
-        if occupied and wrap_dist(t, np.asarray(occupied)).min() <= 2.0 * sigma:
+        if not alive[i]:
+            continue
+        iterations += 1
+        if peak[i] <= eta:
+            break
+        t, value = _polish(zb, float(pos[i]), 1.0 / m)
+        if slid_back(t):
             continue  # the polish slid back onto an earlier pick's (or a taken) lobe
-        tau0.append(float(t))
-        values.append(float(value))
-        occupied.append(float(t))
-        cand = cand[wrap_dist(cand / m, t) > 2.0 * sigma]
+        tau0.append(t)
+        values.append(value)
+        occupy(t)
 
     return PeakResult(k_tilde=len(tau0), tau0=np.asarray(tau0), peak_values=np.asarray(values),
                       iterations=iterations)

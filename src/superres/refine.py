@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .circle import separation, wrap, wrap_signed
+from .circle import separation, wrap, wrap_dist, wrap_signed
 from .peaks import OVERSAMPLE, greedy_scan
 from .slepian import SlepianKernel
 from .spectral import Spectrum, SpikeTrain, half_band, phasors, pointwise_mul, spike_fourier
@@ -260,6 +260,20 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
     )
 
 
+def _prune(tau: np.ndarray, beta: np.ndarray, radius: float) -> np.ndarray:
+    """tau without its smallest-|beta| atom, then without the smaller-|beta| atom
+    of every pair within 2 radius: the rest, in their order, are valid box centres.
+
+    A hessian_not_pd run can end with two atoms that close.
+    """
+    keep = np.zeros(tau.size, dtype=bool)
+    weakest = np.argmin(np.abs(beta))
+    for i in np.argsort(-np.abs(beta), kind="stable"):
+        if i != weakest and not np.any(wrap_dist(tau[i], tau[keep]) <= 2.0 * radius):
+            keep[i] = True
+    return tau[keep]
+
+
 @dataclass(frozen=True)
 class Phase2Result:
     report: SolveReport  # the final round's
@@ -274,8 +288,9 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
 
     hessian_not_pd in practice means that phase 1 missed a weak spike and an
     atom has nothing to fit. While that is the status and fewer than
-    MAX_RESEEDS rounds ran, a round drops the atom with the smallest |beta|,
-    adds the next pick of phase 1's greedy scan (`peaks.greedy_scan`, erasure
+    MAX_RESEEDS rounds ran, a round drops the atom with the smallest |beta|
+    and the weaker atom of any pair within 2 sigma1 (`_prune`), adds one pick
+    per dropped atom from phase 1's greedy scan (`peaks.greedy_scan`, erasure
     radius 2 sigma1) on phase 2's own residual
     zhat - ghat2 sum_i beta_i e^{-2 pi i l tau_i}, with the kept atoms taken,
     and runs Newton again in boxes around the new atoms. This is the
@@ -291,8 +306,9 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
     while report.status == STATUS_HESSIAN_NOT_PD and reseeds < MAX_RESEEDS:
         model = spike_fourier(SpikeTrain(report.tau_tilde, report.beta), y.f_c)
         resid = Spectrum(y.f_c, zhat.coeffs - kernel2.ghat * model.coeffs, real_signal=True)
-        kept = np.delete(report.tau_tilde, np.argmin(np.abs(report.beta)))
-        pick = greedy_scan(resid, radius, OVERSAMPLE * y.n, 1, taken=kept).tau0
+        kept = _prune(report.tau_tilde, report.beta, radius)
+        dropped = report.tau_tilde.size - kept.size
+        pick = greedy_scan(resid, radius, OVERSAMPLE * y.n, dropped, taken=kept).tau0
         if not pick.size:
             break
         centres = np.append(kept, pick)

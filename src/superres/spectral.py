@@ -184,13 +184,32 @@ def pointwise_mul(a: Spectrum, b: Spectrum) -> Spectrum:
     return Spectrum(a.f_c, a.coeffs * b.coeffs, real_signal=a.real_signal and b.real_signal)
 
 
+@lru_cache(maxsize=16)
+def smooth_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: an FFT length with only small prime factors.
+
+    A real FFT of prime length can be 20x slower than one at the next such length.
+    """
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 = 3^b 5^c; times the least power of 2 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def eval_grid(s: Spectrum, m: int) -> np.ndarray:
     """Evaluate the real signal on the uniform grid t = k/M via zero-padded inverse real FFT."""
     if not s.real_signal:
         raise ValueError("eval_grid requires a real_signal spectrum")
     if m < s.n:
         raise ValueError("grid too coarse")
-    return m * np.fft.irfft(s.coeffs[s.f_c:], m)
+    grid = np.fft.irfft(s.coeffs[s.f_c:], m)
+    grid *= m
+    return grid
 
 
 def eval_point(s: Spectrum, t: float) -> float:

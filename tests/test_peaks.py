@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from superres.circle import wrap, wrap_dist
 from superres.peaks import (
@@ -207,17 +208,22 @@ def direct_polish(z, t, half_width):
     return wrap(t), abs(f0)
 
 
+def grid_len(oversample, y):
+    return next_fast_len(oversample * y.n, real=True)
+
+
 def masked_scan(y, kernel, cfg, direct=False, taken=()):
     """Reference greedy scan: re-mask all M grid points and take the argmax per pick.
 
-    direct=True polishes with `direct_polish` instead of the library's `_polish`.
-    The grid within 2 sigma of a taken position is masked from the start, and a
-    polish that lands there is dropped.
+    M is scipy's fast real FFT length at or above oversample * N. direct=True
+    polishes with `direct_polish` instead of the library's `_polish`. The grid
+    within 2 sigma of a taken position is masked from the start, and a polish
+    that lands there is dropped.
     """
     sigma = kernel.sigma
     z = pointwise_mul(y, kernel.spectrum())
     zb = _derivative_blocks(z)
-    m = cfg.oversample * y.n
+    m = grid_len(cfg.oversample, y)
     az = np.abs(eval_grid(z, m))
     grid = np.arange(m) / m
     cap = math.ceil(1.0 / (2.0 * sigma))
@@ -267,6 +273,36 @@ class TestCandidateScan:
             assert result.iterations == iterations, f"trial {trial}"
 
 
+    @pytest.mark.parametrize("f_c", [2, 1000, 1500])
+    def test_matches_masked_scan_at_other_bands(self, f_c):
+        # f_c = 2: 2 sigma = 0.6, so an erased arc is wider than half the circle;
+        # N = 2001 = 3 * 23 * 29 and N = 3001 (prime): 32 N is not 5-smooth
+        kernel = build_kernel(f_c, 1.5)
+        cfg = PeakConfig(max_peaks=14)
+        for trial in range(2):
+            y, _ = scan_input(kernel, trial, 0.1 * trial)
+            tau0, values, iterations = masked_scan(y, kernel, cfg)
+            result = find_peaks(y, kernel, cfg)
+            assert np.array_equal(result.tau0, tau0), f"trial {trial}"
+            assert np.array_equal(result.peak_values, values), f"trial {trial}"
+            assert result.iterations == iterations, f"trial {trial}"
+
+    @pytest.mark.parametrize("taken", [(), (0.004,), (0.5, 0.996)])
+    def test_erased_arc_wraps_past_zero(self, kernel50, taken):
+        y = add(spike_fourier(SpikeTrain([0.006, 0.982, 0.3, 0.62], [1.0, -0.8, 0.5, 0.3]), 50),
+                synth_noise(50, 0.05, 4))
+        z = pointwise_mul(y, kernel50.spectrum())
+        taken = np.asarray(taken)
+        tau0, values, iterations = masked_scan(y, kernel50, PeakConfig(), taken=taken)
+        cap = math.ceil(1.0 / (2.0 * kernel50.sigma))
+        result = greedy_scan(z, kernel50.sigma, OVERSAMPLE * z.n, cap, taken=taken)
+        # a pick or a taken position erases an arc across 0
+        assert wrap_dist(np.concatenate([taken, tau0]), 0.0).min() < 2.0 * kernel50.sigma
+        assert np.array_equal(result.tau0, tau0)
+        assert np.array_equal(result.peak_values, values)
+        assert result.iterations == iterations
+
+
 def scan_input(kernel, seed, nu):
     """The c1-filtered measurement of 14 random spikes plus noise."""
     rng = np.random.default_rng(seed)
@@ -303,7 +339,8 @@ class TestGreedyScan:
             y, z = scan_input(kernel50, trial, 0.1 * (trial % 2))
             # taken positions both on and off the grid
             taken = np.random.default_rng(trial).random(n_taken)
-            taken[0] = np.round(taken[0] * OVERSAMPLE * z.n) / (OVERSAMPLE * z.n)
+            m = grid_len(OVERSAMPLE, z)
+            taken[0] = np.round(taken[0] * m) / m
             tau0, values, iterations = masked_scan(y, kernel50, cfg, taken=taken)
             result = greedy_scan(z, kernel50.sigma, OVERSAMPLE * z.n, 14, taken=taken)
             assert np.array_equal(result.tau0, tau0), f"trial {trial}"

@@ -1,6 +1,7 @@
 """Projected Newton refinement: dictionary, derivatives, projection, solver."""
 
 from dataclasses import fields, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import fixed_quad
 
 import superres.refine
-from superres.circle import wrap, wrap_dist, wrap_signed
+from superres.circle import separation, wrap, wrap_dist, wrap_signed
 from superres.peaks import PeakConfig, find_peaks
 from superres.refine import (
     FEAS_TOL,
@@ -35,8 +36,11 @@ from superres.spectral import (
     SpikeTrain,
     add,
     ells,
+    eval_grid,
     eval_point,
+    load_spectrum_csv,
     pointwise_mul,
+    smooth_len,
     spike_fourier,
     synth_noise,
 )
@@ -587,15 +591,70 @@ class TestSolvePhase2:
         for f in fields(SolveReport):
             assert np.array_equal(getattr(result.report, f.name), getattr(direct, f.name)), f.name
 
-    def test_reseed_next_to_an_atom_on_a_grid_point(self, kernel2):
-        # A round meets a candidate 96 grid cells (2 sigma1) from a kept atom that
-        # sits on a grid point: the re-seed's distance test and BoxConstraint's
-        # must round that gap alike, or the new boxes overlap and it raises.
-        kernel1 = build_kernel(F_C, 1.5)
-        y = add(spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), F_C),
-                synth_noise(F_C, 0.01, 12))
-        tau0 = find_peaks(y, kernel1, PeakConfig()).tau0
-        assert tau0.size == 20
+    def test_reseed_next_to_an_atom_on_a_grid_point(self, monkeypatch):
+        # A round keeps an atom on a grid point k and meets the residual's strongest
+        # grid maximum j exactly 96 cells away. At f_c = 40 the grid is 32 N = 2592
+        # points (already 5-smooth) and 2 sigma1 = 3/81 is exactly 96 cells. j
+        # survives the erasure by rounding and polishes to 0.009 cells beyond
+        # 2 sigma1: the scan's distance tests and BoxConstraint's must round that
+        # gap alike, or the new boxes overlap and it raises. Polished picks almost
+        # never sit on a grid point, so Newton is stubbed to keep the atoms where
+        # they are, with amplitudes too small to change the residual's maxima.
+        f_c, m = 40, 2592
+        kernel1, kernel2 = build_kernel(f_c, 1.5), build_kernel(f_c, 2.25)
+        assert smooth_len(32 * (2 * f_c + 1)) == m and 2 * kernel1.sigma * m == 96
+        y = spike_fourier(SpikeTrain(wrap(TAU_EXAMPLE + 0.2603), ALPHA_EXAMPLE), f_c)
+        j = int(np.argmax(np.abs(eval_grid(pointwise_mul(y, kernel2.spectrum()), m))))
+        on_grid = (j + 96) / m
+        assert wrap_dist(j / m, on_grid) > 2 * kernel1.sigma
+        calls = []
+
+        def keep_in_place(tau, *args):
+            calls.append(tau)
+            return SolveReport(tau_tilde=tau, beta=np.where(tau == on_grid, 2e-12, 1e-12),
+                               f_trace=np.array([0.0]), grad_norm_final=0.0,
+                               status="hessian_not_pd", iterations=1)
+
+        monkeypatch.setattr(superres.refine, "run_newton", keep_in_place)
+        result = solve_phase2(y, np.array([on_grid, wrap(on_grid + 0.5)]), kernel1, kernel2)
+        assert result.reseeds == MAX_RESEEDS
+        gap = (wrap_dist(calls[1][1], on_grid) - 2 * kernel1.sigma) * m
+        assert calls[1][0] == on_grid and 0 < gap < 0.05
+        BoxConstraint(result.centres, kernel1.sigma)
+
+    def test_reseed_drops_the_weaker_atom_of_a_close_pair(self, kernel2, example, monkeypatch):
+        y, tau0, kernel1 = example
+        calls = []
+
+        def close_pair(tau, *args):
+            calls.append(tau)
+            moved = tau.copy()
+            if len(calls) == 1:  # atoms 1 and 2 end 1.5 sigma1 apart
+                moved[2] = wrap(moved[1] + 1.5 * kernel1.sigma)
+            return SolveReport(tau_tilde=moved, beta=np.arange(1.0, tau.size + 1),
+                               f_trace=np.array([0.0]), grad_norm_final=0.0,
+                               status="hessian_not_pd" if len(calls) == 1 else "converged",
+                               iterations=1)
+
+        monkeypatch.setattr(superres.refine, "run_newton", close_pair)
+        result = solve_phase2(y, tau0, kernel1, kernel2)
+        # atom 0 has the smallest |beta|, atom 1 the smaller of the pair: two picks replace them
+        assert result.reseeds == 1 and len(calls) == 2
+        assert calls[1].size == 7
+        assert np.array_equal(calls[1][:5], np.append(wrap(tau0[1] + 1.5 * kernel1.sigma), tau0[3:]))
+        BoxConstraint(result.centres, kernel1.sigma)
+
+    def test_close_pair_after_newton_does_not_raise(self):
+        # make_pool("noisy", 2, 600) #520 of the benchmark (f_c = 50, K = 14, nu = 0.1):
+        # the first Newton run ends hessian_not_pd with two atoms 0.83 * 2 sigma1
+        # apart, and the next round's BoxConstraint raised.
+        y = load_spectrum_csv(Path(__file__).parent / "data" / "close_pair_after_newton.csv")
+        kernel1, kernel2 = build_kernel(F_C, 1.5), build_kernel(F_C, 2.25)
+        tau0 = find_peaks(y, kernel1, PeakConfig(max_peaks=14)).tau0
+        first = run_newton(tau0, kernel2, pointwise_mul(y, kernel2.spectrum()),
+                           BoxConstraint(tau0, kernel1.sigma))
+        assert first.status == "hessian_not_pd"
+        assert separation(first.tau_tilde) <= 2 * kernel1.sigma
         result = solve_phase2(y, tau0, kernel1, kernel2)
         assert result.reseeds >= 1
         BoxConstraint(result.centres, kernel1.sigma)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from superres.spectral import (
     SpikeTrain,
@@ -18,6 +19,7 @@ from superres.spectral import (
     phasors,
     pointwise_mul,
     save_spectrum_csv,
+    smooth_len,
     spike_fourier,
     synth_noise,
 )
@@ -207,12 +209,28 @@ class TestEvalGrid:
             assert abs(ref.imag) <= 1e-12 * scale
             assert abs(eval_point(s, t) - ref.real) <= 1e-12 * scale
 
+    def test_scaled_in_place_bit_for_bit(self):
+        s = seeded_real_spectrum(1000, seed=3)
+        m = 32 * s.n
+        assert np.array_equal(eval_grid(s, m), m * np.fft.irfft(s.coeffs[s.f_c:], m))
+
     def test_requires_real_signal_flag(self):
         s = Spectrum(2, np.arange(5, dtype=complex))
         with pytest.raises(ValueError, match="real_signal"):
             eval_grid(s, 16)
         with pytest.raises(ValueError, match="real_signal"):
             eval_point(s, 0.3)
+
+
+class TestSmoothLen:
+    def test_matches_scipy_next_fast_len(self):
+        got = [smooth_len(n) for n in range(1, 20001)]
+        assert got == [next_fast_len(n, real=True) for n in range(1, 20001)]
+
+    @pytest.mark.parametrize("f_c", [1000, 1500, 2000, 2500, 4000])
+    def test_phase1_grids(self, f_c):
+        m = 32 * (2 * f_c + 1)
+        assert smooth_len(m) == next_fast_len(m, real=True)
 
 
 class TestPhasors:
