@@ -31,6 +31,14 @@ def wrap_dist(a, b):
     return np.minimum(d, 1.0 - d)
 
 
+def positions(t) -> np.ndarray:
+    """A non-empty array of finite positions, reduced modulo 1 into [0, 1)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.size == 0 or not np.isfinite(t).all():
+        raise ValueError("positions must be a non-empty array of finite numbers")
+    return wrap(t)
+
+
 def hausdorff(a, b) -> float:
     """Hausdorff distance between two finite point sets on the circle."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -43,8 +51,11 @@ def hausdorff(a, b) -> float:
 
 def separation(tau) -> float:
     """Minimum pairwise wraparound distance, in O(K log K): the closest pair are
-    neighbours in sorted order (the last and the first too), in rounding as well."""
+    neighbours in sorted order (the last and the first too), in rounding as well.
+    The gaps of sorted positions in [0, 1) need no reduction mod 1, so this equals
+    wrap_dist over neighbouring pairs bit for bit."""
     tau = np.sort(wrap(np.atleast_1d(np.asarray(tau, dtype=float))))
     if tau.size < 2:
         raise ValueError("separation undefined")
-    return float(wrap_dist(tau, np.roll(tau, 1)).min())
+    d = np.append(np.diff(tau), tau[-1] - tau[0])
+    return float(np.minimum(d, 1.0 - d).min())

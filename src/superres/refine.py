@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .circle import separation, wrap, wrap_dist, wrap_signed
+from .circle import positions, separation, wrap, wrap_dist, wrap_signed
 from .peaks import OVERSAMPLE, greedy_scan
 from .slepian import SlepianKernel
 from .spectral import Spectrum, SpikeTrain, half_band, phasors, pointwise_mul, spike_fourier
@@ -64,7 +64,7 @@ class BoxConstraint:
     radius: float
 
     def __post_init__(self):
-        center = wrap(np.atleast_1d(np.asarray(self.center, dtype=float)))
+        center = positions(self.center)
         object.__setattr__(self, "center", center)
         if not 0.0 < self.radius < 0.25:
             raise ValueError("radius must lie in (0, 1/4)")
@@ -90,18 +90,15 @@ class SolveReport:
 
 def build_G(rho, kernel: SlepianKernel) -> DictionaryMatrix:
     """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} (l >= 0) and its Gram factor."""
-    rho = wrap(np.atleast_1d(np.asarray(rho, dtype=float)))
+    rho = positions(rho)
     if rho.size > 1 and separation(rho) == 0.0:
         raise DegenerateDictionaryError("degenerate dictionary")
     G = kernel.ghat[kernel.f_c:, None] * phasors(kernel.f_c, -rho)
     gh = (half_band(kernel.f_c)[1][:, None] * G).conj().T
     gram = (gh @ G).real
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDictionaryError("degenerate dictionary") from exc
+    chol, info = dpotrf(gram, lower=1, clean=1)
     # Near-duplicate positions leave the Gram numerically PD but useless.
-    if np.diag(chol).min() < 1e-3:
+    if info > 0 or np.diag(chol).min() < 1e-3:
         raise DegenerateDictionaryError("degenerate dictionary")
     return DictionaryMatrix(rho=rho, G=G, gh=gh, gram=gram, gram_chol=chol)
 
@@ -110,7 +107,7 @@ def least_squares_beta(d: DictionaryMatrix, zhat: Spectrum) -> np.ndarray:
     """Amplitudes minimizing ||G beta - zhat||^2, via the Gram Cholesky factor."""
     if not zhat.real_signal:
         raise ValueError("least_squares_beta requires a real_signal spectrum")
-    return cho_solve((d.gram_chol, True), (d.gh @ zhat.coeffs[zhat.f_c:]).real)
+    return dpotrs(d.gram_chol, (d.gh @ zhat.coeffs[zhat.f_c:]).real, lower=1)[0]
 
 
 @dataclass(frozen=True)
@@ -150,11 +147,11 @@ def _hessian(p: _Point, ls: np.ndarray, w: np.ndarray) -> np.ndarray:
     w2 = (d.gh @ (ls**2 * p.r)).real
 
     b = p.beta
-    term1 = -2.0 * b[:, None] * gl2g * b
-    term2 = np.diag(-2.0 * b * w2)
-    bracket = b[:, None] * glg - np.diag(w)
-    term3 = -2.0 * bracket @ cho_solve((d.gram_chol, True), bracket.T)
-    h = term1 + term2 + term3
+    h = -2.0 * b[:, None] * gl2g * b
+    h.flat[:: b.size + 1] += -2.0 * b * w2
+    bracket = b[:, None] * glg
+    bracket.flat[:: b.size + 1] -= w
+    h += -2.0 * bracket @ dpotrs(d.gram_chol, bracket.T, lower=1)[0]
 
     asym = np.abs(h - h.T).max()
     scale = max(np.abs(h).max(), 1e-300)
@@ -220,12 +217,12 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         diag = hess.diagonal()
         v = grad / np.where(diag > 0.0, diag, 1.0)
         free = np.abs(u) < r - eps
-        try:
-            chol = np.linalg.cholesky(hess[free][:, free])
-        except np.linalg.LinAlgError:
-            status = STATUS_HESSIAN_NOT_PD
-            break
-        v[free] = cho_solve((chol, True), grad[free])
+        if free.any():  # LAPACK rejects the empty block; then v is the diagonal step
+            chol, info = dpotrf(hess[free][:, free], lower=1, clean=1)
+            if info > 0:
+                status = STATUS_HESSIAN_NOT_PD
+                break
+            v[free] = dpotrs(chol, grad[free], lower=1)[0]
 
         u_full = np.clip(u - v, -r, r)
         step_norm = float(np.linalg.norm(u_full - u))

@@ -124,6 +124,8 @@ class Spectrum:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.shape != (2 * self.f_c + 1,):
             raise ValueError("coeffs must have length 2*f_c + 1")
+        if not np.isfinite(coeffs).all():  # NaN would pass the Hermitian test below
+            raise ValueError("coefficients must be finite")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)

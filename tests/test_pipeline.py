@@ -373,7 +373,8 @@ class TestCli:
         "l,re,im\n0,1,x\n",
         "l,re\n0,1\n",
         pytest.param("l,re,im\n", marks=pytest.mark.filterwarnings("ignore:loadtxt")),
-    ], ids=["missing", "non_numeric", "two_columns", "no_rows"])
+        "l,re,im\n" + "".join(f"{l},{'nan' if l == 0 else 0},0\n" for l in range(-50, 51)),
+    ], ids=["missing", "non_numeric", "two_columns", "no_rows", "non_finite"])
     def test_unreadable_input_is_usage_error(self, tmp_path, capsys, command, text):
         path = tmp_path / "y.csv"
         if text is not None:

@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import fixed_quad
 
 import superres.refine
@@ -15,6 +16,7 @@ from superres.refine import (
     FEAS_TOL,
     MAX_RESEEDS,
     STATUS_CONVERGED,
+    STATUS_HESSIAN_NOT_PD,
     STATUS_MAX_ITER,
     STATUS_STALLED,
     BoxConstraint,
@@ -223,6 +225,11 @@ class TestBuildG:
         with pytest.raises(DegenerateDictionaryError):
             build_G(np.array([0.5, 0.5 + 1e-6]), kernel2)
 
+    @pytest.mark.parametrize("rho", [[0.1, np.nan], [np.inf], []])
+    def test_non_finite_or_empty_positions_raise(self, kernel2, rho):
+        with pytest.raises(ValueError, match="non-empty array of finite"):
+            build_G(rho, kernel2)
+
     def test_wraps_positions(self, kernel2):
         a = build_G(np.array([0.25, 1.75]), kernel2)
         b = build_G(np.array([0.25, 0.75]), kernel2)
@@ -406,6 +413,11 @@ class TestBoxConstraint:
         with pytest.raises(ValueError, match="separated"):
             BoxConstraint(np.array([0.5, 0.51]), 0.01)
 
+    @pytest.mark.parametrize("center", [[0.1, np.nan], [-np.inf], []])
+    def test_non_finite_or_empty_centers_raise(self, center):
+        with pytest.raises(ValueError, match="non-empty array of finite"):
+            BoxConstraint(center, 0.01)
+
 
 class TestRunNewton:
     def test_worked_example_machine_precision(self, kernel2, zhat_example):
@@ -552,6 +564,42 @@ class TestRunNewton:
         assert len(points) > 1
         assert not any(np.array_equal(rho, points[0]) for rho in points[1:])
 
+    def test_all_active_takes_the_diagonal_step(self, kernel2, monkeypatch):
+        # Both starts sit on a box face, so at eps = r / 2 the free block is
+        # empty: there is nothing to factor, and the first trial point is the
+        # full diagonally scaled step clipped to the box.
+        zhat = filtered_spikes(kernel2, [0.3, 0.6], [2.0, -1.0])
+        box = BoxConstraint(np.array([0.297, 0.603]), 0.008)
+        tau0 = box.center + np.array([0.008, -0.008])
+        evaluate = superres.refine._evaluate
+        points = []
+
+        def recorded(rho, kernel, z):
+            points.append(np.array(rho))
+            return evaluate(rho, kernel, z)
+
+        monkeypatch.setattr(superres.refine, "_evaluate", recorded)
+        report = run_newton(tau0, kernel2, zhat, box)
+        u = wrap_signed(tau0, box.center)
+        hess = hessian_F(box.center + u, kernel2, zhat)
+        assert np.all(hess.diagonal() > 0.0)
+        step = gradient_F(box.center + u, kernel2, zhat) / hess.diagonal()
+        expected = box.center + np.clip(u - step, -box.radius, box.radius)
+        assert np.abs(points[1] - expected).max() < 1e-15
+        assert report.status == STATUS_CONVERGED
+        assert np.abs(report.tau_tilde - [0.3, 0.6]).max() < 1e-10
+
+    def test_indefinite_free_block_is_hessian_not_pd(self, kernel2, zhat_example, monkeypatch):
+        # 2 J - I has a positive diagonal and the eigenvalue -1: only the
+        # factor of the free block can tell that it is not positive definite.
+        tau0 = wrap(TAU_EXAMPLE + 5e-4)
+        monkeypatch.setattr(superres.refine, "_hessian",
+                            lambda p, ls, w: 2.0 * np.ones((p.beta.size,) * 2) - np.eye(p.beta.size))
+        report = run_newton(tau0, kernel2, zhat_example, BoxConstraint(tau0, SIGMA1))
+        assert report.status == STATUS_HESSIAN_NOT_PD
+        assert report.iterations == 1 and report.f_trace.size == 1
+        assert np.array_equal(report.tau_tilde, tau0)
+
     @pytest.mark.parametrize("start", ["greedy", "offset"])
     def test_one_dictionary_per_point(self, kernel2, zhat_example, monkeypatch, start):
         # Every iterate and line-search candidate is evaluated once; neither
@@ -590,6 +638,29 @@ class TestSolvePhase2:
         assert result.reseeds == 0 and np.array_equal(result.centres, tau0)
         for f in fields(SolveReport):
             assert np.array_equal(getattr(result.report, f.name), getattr(direct, f.name)), f.name
+
+    def test_factors_and_solves_are_direct_lapack_calls(self, kernel2, example, monkeypatch):
+        # The checked wrappers cost more than the factor and solve they wrap
+        # at K = 14; phase 2 must not call them, under any name.
+        def refuse(*args, **kwargs):
+            raise AssertionError("checked Cholesky wrapper called")
+
+        checked = (scipy.linalg.cho_solve, scipy.linalg.cho_factor, np.linalg.cholesky)
+        for name, value in list(vars(superres.refine).items()):
+            if any(value is c for c in checked):
+                monkeypatch.setattr(superres.refine, name, refuse)
+        monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        y, tau0, kernel1 = example
+        result = solve_phase2(y, tau0, kernel1, kernel2)
+        assert result.report.status == STATUS_CONVERGED
+        assert np.abs(np.sort(result.report.tau_tilde) - TAU_EXAMPLE).max() < 1e-12
+
+    def test_empty_picks_raise(self, kernel2, example):
+        y, _, kernel1 = example
+        with pytest.raises(ValueError, match="non-empty array of finite"):
+            solve_phase2(y, [], kernel1, kernel2)
 
     def test_reseed_next_to_an_atom_on_a_grid_point(self, monkeypatch):
         # A round keeps an atom on a grid point k and meets the residual's strongest

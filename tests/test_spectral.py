@@ -77,6 +77,15 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="Hermitian"):
             Spectrum(1, bad, real_signal=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_coefficients_raise(self, bad):
+        # NaN compares false, so it would pass the Hermitian test
+        coeffs = spike_fourier(SpikeTrain([0.3], [1.0]), 50).coeffs.copy()
+        coeffs[50] = bad
+        for real_signal in (True, False):
+            with pytest.raises(ValueError, match="finite"):
+                Spectrum(50, coeffs, real_signal=real_signal)
+
     def test_coeffs_read_only(self):
         s = Spectrum(1, np.zeros(3))
         with pytest.raises(ValueError):
@@ -274,6 +283,12 @@ class TestCsvRoundTrip:
         lines = path.read_text().splitlines()
         assert lines[0] == "l,re,im"
         assert len(lines) == 1 + s.n
+
+    def test_non_finite_value_raises(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("l,re,im\n-1,1,0\n0,nan,0\n1,1,0\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_spectrum_csv(path)
 
     def test_bad_band_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
