@@ -5,23 +5,26 @@ convolution in time), the magnitude of the result is scanned on a fine grid
 (at least oversample * N points, rounded up to a 5-smooth FFT length), and
 its local maxima are selected greedily and polished by Newton steps on its
 derivative. The polish reads z, z' and z'' from their coefficient rows in
-`spectral.blocks` form, built once per scan, so a step costs J + B
-exponentials (about 2 sqrt(N)). After each selection the local maxima within
-2 sigma of the peak are erased so nearby lobes of the same spike cannot be
-picked again; they are kept in position order, so the erased arc is found by
-binary search. Phase 2's re-seed runs the same scan (`greedy_scan`) on its
-residual.
+`spectral.blocks` form, built once per scan, at J + B exponentials (about
+2 sqrt(N)) per point and step. It runs in batches: the first candidate
+reached without a polish is polished together with the alive candidates that
+follow it in value order, up to the picks still open, with one `block_sum`
+call per Newton step. After each selection the local maxima within 2 sigma
+of the peak are erased so nearby lobes of the same spike cannot be picked
+again; they are kept in position order, so the erased arc is found by binary
+search. Phase 2's re-seed runs the same scan (`greedy_scan`) on its residual.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .circle import wrap_dist
 from .slepian import SlepianKernel
 from .spectral import (Spectrum, block_sum, blocks, eval_grid, half_band, pointwise_mul,
                        smooth_len)
@@ -29,6 +32,7 @@ from .spectral import (Spectrum, block_sum, blocks, eval_grid, half_band, pointw
 NEWTON_STEPS = 3  # quadratic convergence: from one grid cell (1/M) to below 1e-12
 OVERSAMPLE = 32  # grid points per coefficient, for phase 1 and the phase-2 re-seed
 MIN_OVERSAMPLE = 4
+POLISH_BATCH = 64  # at most this many points per `_polish` call (see `greedy_scan`)
 
 
 @dataclass(frozen=True)
@@ -65,20 +69,29 @@ def _derivative_blocks(z: Spectrum) -> np.ndarray:
     return blocks(np.stack([c0, c1, w * c1]))
 
 
-def _polish(zb: np.ndarray, t: float, half_width: float) -> tuple[float, float]:
-    """Newton steps on z' from grid point t, clipped to t -/+ half_width; returns (t, |z(t)|).
+def _polish(zb: np.ndarray, t, half_width: float):
+    """Newton steps on z' from grid points t, each clipped to its t -/+ half_width;
+    returns (t, |z(t)|), as floats for a scalar t and as arrays for a 1-D t.
 
-    zb is `_derivative_blocks(z)`. Stops where sign(z) z'' >= 0, since |z| is
-    not concave there. The step runs in Python floats: the same IEEE operations
-    as in numpy scalars, at a fraction of the call cost.
+    zb is `_derivative_blocks(z)`. A point stops where sign(z) z'' >= 0, since |z|
+    is not concave there. Each step evaluates every point in one `block_sum` call,
+    whose per-point bits do not depend on the batch: a stopped point is evaluated
+    at the same t again, so it stays stopped and keeps its value.
     """
+    scalar = np.ndim(t) == 0
+    t = np.array(t, dtype=float, ndmin=1)
     lo, hi = t - half_width, t + half_width
     for step in range(NEWTON_STEPS + 1):
-        f0, f1, f2 = block_sum(zb, t).tolist()
-        if step == NEWTON_STEPS or ((f0 > 0.0) - (f0 < 0.0)) * f2 >= 0.0:
+        f0, f1, f2 = block_sum(zb, t).T
+        if step == NEWTON_STEPS:
             break
-        t = min(max(t - f1 / f2, lo), hi)
-    return t % 1.0, abs(f0)
+        go = np.sign(f0) * f2 < 0.0
+        if not go.any():
+            break
+        t[go] = np.clip(t[go] - f1[go] / f2[go], lo[go], hi[go])
+    t %= 1.0
+    value = np.abs(f0)
+    return (float(t[0]), float(value[0])) if scalar else (t, value)
 
 
 def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResult:
@@ -112,34 +125,40 @@ def greedy_scan(z: Spectrum, sigma: float, m: int, cap: int, eta: float = 0.0,
     is_max[1:-1] &= inner >= az[2:]
     is_max[0] = az[0] >= az[-1] and az[0] >= az[1]
     is_max[-1] = az[-1] >= az[-2] and az[-1] >= az[0]
-    cand = np.flatnonzero(is_max)  # in position order, so an erased arc is a slice
-    pos = cand / m
+    cand = np.flatnonzero(is_max)  # in position order, so an erased arc is found by bisection
+    grid_pos = cand / m
+    pos = grid_pos.tolist()
     peak = az[cand]
     # Erasure only removes candidates, so one sort orders every later choice.
     order = np.argsort(-peak, kind="stable").tolist()  # ties: smallest index first
-    alive = np.ones(cand.size, dtype=bool)
+    above = int(np.count_nonzero(peak > eta))  # order[:above] may still be picked
+    peak = peak.tolist()
+    alive = [True] * len(pos)
     two_sigma = 2.0 * sigma
     reach = two_sigma + 1.0 / m  # past any rounding of the exact tests below
-    arcs = np.array([-1.0 - reach, -1.0 + reach, -reach, reach, 1.0 - reach, 1.0 + reach])
+    arcs = ((-1.0 - reach, -1.0 + reach), (-reach, reach), (1.0 - reach, 1.0 + reach))
     # Occupied positions by bucket of width >= reach: whatever lies within reach of t
     # sits in t's bucket or a neighbour.
     n_buckets = max(1, int(1.0 / reach))
     buckets: list[list[float]] = [[] for _ in range(n_buckets)]
 
+    # Both distance tests use `wrap_dist`'s arithmetic in Python floats:
+    # |a - b| mod 1, then min(d, 1 - d).
     def bucket(t: float) -> int:
         return int(t % 1.0 * n_buckets) % n_buckets
 
     def occupy(t: float) -> None:
         """Kill the candidates within 2 sigma of t: the exact test, inside t's arc only."""
         buckets[bucket(t)].append(t)
-        ends = np.searchsorted(pos, t % 1.0 + arcs).tolist()
-        for i0, i1 in zip(ends[::2], ends[1::2]):
-            if i0 < i1:
-                alive[i0:i1] &= wrap_dist(pos[i0:i1], t) > two_sigma
+        c = t % 1.0
+        for a0, a1 in arcs:
+            for k in range(bisect_left(pos, c + a0), bisect_left(pos, c + a1)):
+                d = abs(pos[k] - t) % 1.0
+                if min(d, 1.0 - d) <= two_sigma:
+                    alive[k] = False
 
     def slid_back(t: float) -> bool:
-        """Whether t is within 2 sigma of an occupied position, by `wrap_dist`'s
-        arithmetic in Python floats: |a - b| mod 1, then min(d, 1 - d)."""
+        """Whether t is within 2 sigma of an occupied position."""
         b = bucket(t)
         near = (o for k in (b - 1, b, b + 1) for o in buckets[k % n_buckets])
         return any(min(d, 1.0 - d) <= two_sigma for d in (abs(t - o) % 1.0 for o in near))
@@ -148,8 +167,9 @@ def greedy_scan(z: Spectrum, sigma: float, m: int, cap: int, eta: float = 0.0,
         occupy(float(t))
     tau0: list[float] = []
     values: list[float] = []
+    polished: dict[int, tuple[float, float]] = {}
     iterations = 0
-    for i in order:
+    for n, i in enumerate(order):
         if len(tau0) >= cap:
             break
         if not alive[i]:
@@ -157,7 +177,15 @@ def greedy_scan(z: Spectrum, sigma: float, m: int, cap: int, eta: float = 0.0,
         iterations += 1
         if peak[i] <= eta:
             break
-        t, value = _polish(zb, float(pos[i]), 1.0 / m)
+        if i not in polished:
+            # i and the next alive candidates that could still be picked, in one call;
+            # all lie after i in order, so none is polished twice. Uncapped scans
+            # erase many of them before they are reached, hence POLISH_BATCH.
+            width = min(cap - len(tau0), POLISH_BATCH)
+            batch = list(islice((k for k in order[n:above] if alive[k]), width))
+            ts, vals = _polish(zb, grid_pos[batch], 1.0 / m)
+            polished.update(zip(batch, zip(ts.tolist(), vals.tolist())))
+        t, value = polished[i]
         if slid_back(t):
             continue  # the polish slid back onto an earlier pick's (or a taken) lobe
         tau0.append(t)

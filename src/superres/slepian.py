@@ -17,6 +17,7 @@ O(N log N) plus the selected tridiagonal solve, never an N x N matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -52,6 +53,11 @@ class SlepianKernel:
         return self.c / self.n
 
     def spectrum(self) -> Spectrum:
+        """The coefficients as a real-signal Spectrum, built and checked once per kernel."""
+        return self._spectrum
+
+    @cached_property
+    def _spectrum(self) -> Spectrum:
         return Spectrum(self.f_c, self.ghat.astype(complex), real_signal=True)
 
 

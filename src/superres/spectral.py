@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circle import separation, wrap
+from .circle import positions, separation
 
 HERMITIAN_RTOL = 1e-12
 
@@ -82,11 +82,19 @@ def blocks(c: np.ndarray) -> np.ndarray:
     return padded.reshape(c.shape[:-1] + (j, b))
 
 
-def block_sum(cb: np.ndarray, t: float) -> np.ndarray:
-    """Re sum_l c[..., l] e^{2 pi i l t} for c in `blocks` form, as Re(hi^T C lo)."""
+def block_sum(cb: np.ndarray, t) -> np.ndarray:
+    """Re sum_l c[..., l] e^{2 pi i l t} for c in `blocks` form, as Re(hi^T C lo),
+    with shape t.shape + cb.shape[:-2] for a scalar or 1-D t.
+
+    Each point is its own matrix-vector product in one stacked `np.matmul`, never
+    one matrix product across the points, so a point's bits do not depend on how
+    many points share the call.
+    """
     j, b = cb.shape[-2:]
-    e = np.exp(_factor_freqs(j, b) * t)
-    return np.dot(np.dot(cb, e[:b]), e[b:]).real
+    t = np.asarray(t, dtype=float)
+    e = np.exp(t.reshape(-1, 1) * _factor_freqs(j, b))[..., None]  # W x (B + J) x 1
+    rows = np.matmul(cb.reshape(-1, b), e[:, :b])  # W x (lead * J) x 1
+    return np.matmul(rows.reshape(t.size, -1, j), e[:, b:]).real.reshape(t.shape + cb.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -97,10 +105,12 @@ class SpikeTrain:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        pos = wrap(np.atleast_1d(np.asarray(self.positions, dtype=float)))
+        pos = positions(self.positions)
         amp = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
-        if pos.size != amp.size or pos.size < 1:
-            raise ValueError("positions and amplitudes must have equal length >= 1")
+        if pos.size != amp.size:
+            raise ValueError("positions and amplitudes must have equal length")
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
         if pos.size > 1 and separation(pos) == 0.0:
             raise ValueError("positions must be distinct")
         object.__setattr__(self, "positions", pos)

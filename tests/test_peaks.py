@@ -1,6 +1,7 @@
 """Greedy peak initialization: worked example, invariances, erasure soundness."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
+import superres.peaks as peaks
 from superres.circle import wrap, wrap_dist
 from superres.peaks import (
     NEWTON_STEPS,
@@ -25,6 +27,7 @@ from superres.spectral import (
     SpikeTrain,
     Spectrum,
     add,
+    block_sum,
     eval_grid,
     eval_point,
     half_band,
@@ -273,12 +276,19 @@ class TestCandidateScan:
             assert result.iterations == iterations, f"trial {trial}"
 
 
-    @pytest.mark.parametrize("f_c", [2, 1000, 1500])
-    def test_matches_masked_scan_at_other_bands(self, f_c):
+    @pytest.mark.parametrize("f_c, max_peaks", [
+        pytest.param(2, 14, id="2"),
+        pytest.param(1000, 14, id="1000"),
+        pytest.param(1500, 14, id="1500"),
+        pytest.param(1000, None, id="1000-uncapped"),
+    ])
+    def test_matches_masked_scan_at_other_bands(self, f_c, max_peaks):
         # f_c = 2: 2 sigma = 0.6, so an erased arc is wider than half the circle;
-        # N = 2001 = 3 * 23 * 29 and N = 3001 (prime): 32 N is not 5-smooth
+        # N = 2001 = 3 * 23 * 29 and N = 3001 (prime): 32 N is not 5-smooth.
+        # Uncapped at f_c = 1000 (cap 667): polish batches of POLISH_BATCH points,
+        # many of which are erased before the scan reaches them.
         kernel = build_kernel(f_c, 1.5)
-        cfg = PeakConfig(max_peaks=14)
+        cfg = PeakConfig(max_peaks=max_peaks)
         for trial in range(2):
             y, _ = scan_input(kernel, trial, 0.1 * trial)
             tau0, values, iterations = masked_scan(y, kernel, cfg)
@@ -365,3 +375,58 @@ class TestDirectPolishOracle:
             assert result.k_tilde == tau0.size, f"trial {trial}"
             assert wrap_dist(result.tau0, tau0).max() <= 1e-12, f"trial {trial}"
             assert np.abs(result.peak_values - values).max() <= 1e-12 * values.max()
+
+
+def count_polish_work(monkeypatch):
+    """Patch `peaks` to record the points of each `block_sum` call, and the number
+    of `block_sum` calls made by each `_polish` call."""
+    evals: list[int] = []
+    polishes: list[int] = []
+
+    def counted_block_sum(cb, t):
+        evals.append(np.size(t))
+        return block_sum(cb, t)
+
+    def counted_polish(zb, t, half_width):
+        before = len(evals)
+        out = _polish(zb, t, half_width)
+        polishes.append(len(evals) - before)
+        return out
+
+    monkeypatch.setattr(peaks, "block_sum", counted_block_sum)
+    monkeypatch.setattr(peaks, "_polish", counted_polish)
+    return evals, polishes
+
+
+class TestBatchPolish:
+    @pytest.mark.parametrize("f_c", [2, 50, 1000, 1500])
+    def test_batch_equals_one_point_calls(self, f_c, monkeypatch):
+        # Random points with a clip of half a coefficient spacing: some start or
+        # land where |z| is convex, so points stop at the guard after different
+        # numbers of steps.
+        kernel = build_kernel(f_c, 1.5)
+        _, z = scan_input(kernel, f_c, 0.1)
+        zb = _derivative_blocks(z)
+        t = np.random.default_rng(f_c).random(600)
+        half_width = 0.5 / z.n
+        evals, polishes = count_polish_work(monkeypatch)
+        one = [peaks._polish(zb, ti, half_width) for ti in t.tolist()]
+        assert all(isinstance(ti, float) and isinstance(v, float) for ti, v in one)
+        stops = Counter(n - 1 for n in polishes)  # the step a point stopped at
+        assert {0, 1, NEWTON_STEPS} <= set(stops), stops
+        evals.clear()
+        ts, values = peaks._polish(zb, t, half_width)
+        assert np.array_equal(ts, [ti for ti, _ in one])
+        assert np.array_equal(values, [v for _, v in one])
+        assert len(evals) == NEWTON_STEPS + 1 and evals[0] == t.size
+
+    def test_find_peaks_polishes_in_batches(self, kernel50, monkeypatch):
+        evals, polishes = count_polish_work(monkeypatch)
+        for seed in range(20):
+            y, _ = scan_input(kernel50, seed, 0.1 * (seed % 2))
+            evals.clear()
+            polishes.clear()
+            result = find_peaks(y, kernel50, PeakConfig(max_peaks=14))
+            assert result.k_tilde == 14
+            assert max(polishes) <= NEWTON_STEPS + 1, f"seed {seed}"
+            assert len(evals) < 4 * result.k_tilde, f"seed {seed}"

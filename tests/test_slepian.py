@@ -201,6 +201,13 @@ class TestBuildKernel:
         assert np.array_equal(kernel.ghat, kernel.ghat[::-1])
         assert top >= kernel.n - TOP_EIGENPAIRS
 
+    def test_spectrum_is_built_once(self):
+        kernel = build_kernel(50, 1.5)
+        spectrum = kernel.spectrum()
+        assert kernel.spectrum() is spectrum
+        assert spectrum.real_signal and not spectrum.coeffs.flags.writeable
+        assert np.array_equal(spectrum.coeffs, kernel.ghat.astype(complex))
+
     def test_build_imports_no_module(self):
         # A module first imported by a kernel build (scipy.fft, say) would
         # land in every cold process's set-up time.

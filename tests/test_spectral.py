@@ -66,6 +66,19 @@ class TestSpikeTrain:
         with pytest.raises(ValueError, match="equal length"):
             SpikeTrain([0.5], [1.0, 2.0])
 
+    @pytest.mark.filterwarnings("error")  # inf must not reach np.mod, which warns
+    @pytest.mark.parametrize("positions", [[np.nan], [np.inf, 0.3], [0.1, -np.inf], []],
+                             ids=["nan", "inf", "-inf", "empty"])
+    def test_non_finite_or_empty_positions_raise(self, positions):
+        with pytest.raises(ValueError, match="positions must be a non-empty array of finite"):
+            SpikeTrain(positions, np.ones(len(positions)))
+
+    @pytest.mark.parametrize("amplitudes", [[np.inf], [np.nan], [1.0, -np.inf]],
+                             ids=["inf", "nan", "-inf"])
+    def test_non_finite_amplitudes_raise(self, amplitudes):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            SpikeTrain([0.2, 0.7][: len(amplitudes)], amplitudes)
+
 
 class TestSpectrum:
     def test_length_check(self):
