@@ -21,7 +21,6 @@ from .refine import (
     DegenerateDictionaryError,
     DictionaryMatrix,
     NewtonConfig,
-    Phase2Result,
     SolveReport,
     build_G,
     gradient_F,

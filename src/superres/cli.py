@@ -23,7 +23,7 @@ from .experiments import (
     gradcheck,
     run_monte_carlo,
 )
-from .peaks import OVERSAMPLE, PeakConfig, find_peaks
+from .peaks import PeakConfig, find_peaks
 from .refine import STATUS_CONVERGED, solve_phase2
 from .slepian import build_kernel
 from .spectral import Spectrum, ells, eval_grid, load_spectrum_csv
@@ -32,7 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_THRESHOLD = 3
-OVERSAMPLE_HELP = "phase-1 grid points per coefficient: the grid has at least oversample*N points"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +88,7 @@ def _load_input(args) -> Spectrum:
 
 def _peak_config(args) -> PeakConfig:
     try:
-        return PeakConfig(eta=args.eta, oversample=args.oversample)
+        return PeakConfig(eta=args.eta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -133,14 +132,13 @@ def _cmd_solve(args) -> int:
         print(json.dumps({"k_tilde": 0, "positions": [], "amplitudes": [],
                           "status": "no_peaks", "reseeds": 0, "f_trace": []}))
         return EXIT_NUMERICAL
-    result = solve_phase2(y, peaks.tau0, kernel1, build_kernel(args.fc, c2))
-    report = result.report
+    report = solve_phase2(y, peaks.tau0, kernel1, build_kernel(args.fc, c2))
     print(json.dumps({
         "k_tilde": peaks.k_tilde,
         "positions": list(report.tau_tilde),
         "amplitudes": list(report.beta),
         "status": report.status,
-        "reseeds": result.reseeds,
+        "reseeds": report.reseeds,
         "iterations": report.iterations,
         "grad_norm_final": report.grad_norm_final,
         "f_trace": list(report.f_trace),
@@ -152,7 +150,6 @@ def _cmd_mc(args) -> int:
     cfg = ExperimentConfig(
         f_c=args.fc, c1=args.c1, c2=args.c2, k=args.k, sep_min=args.sep_min,
         nu_grid=tuple(args.nu), trials=args.trials, seed=args.seed,
-        oversample=args.oversample,
     )
     records = run_monte_carlo(cfg, out_dir=args.out)
     for nu in cfg.nu_grid:
@@ -196,7 +193,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fc", type=int, required=True)
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--oversample", type=int, default=OVERSAMPLE, help=OVERSAMPLE_HELP)
     p.add_argument("--config", type=str, default=None)
     p.set_defaults(func=_cmd_phase1)
 
@@ -206,7 +202,6 @@ def build_parser() -> _Parser:
     p.add_argument("--c1", type=float, required=True)
     p.add_argument("--c2", type=float, default=None)
     p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--oversample", type=int, default=OVERSAMPLE, help=OVERSAMPLE_HELP)
     p.add_argument("--config", type=str, default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -219,7 +214,6 @@ def build_parser() -> _Parser:
     p.add_argument("--nu", type=float, nargs="+", default=[0.0, 0.025, 0.05, 0.1, 0.2])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oversample", type=int, default=OVERSAMPLE, help=OVERSAMPLE_HELP)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--min-success-rate", dest="min_success_rate", type=float, default=None)
     p.add_argument("--config", type=str, default=None)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .circle import hausdorff, wrap
-from .peaks import MIN_OVERSAMPLE, OVERSAMPLE, PeakConfig, find_peaks
+from .peaks import PeakConfig, find_peaks
 from .refine import DegenerateDictionaryError, gradient_F, hessian_F, objective_F, solve_phase2
 from .slepian import SlepianKernel, build_kernel
 from .spectral import SpikeTrain, add, pointwise_mul, spike_fourier, synth_noise
@@ -44,7 +44,6 @@ class ExperimentConfig:
     nu_grid: Sequence[float] = (0.0, 0.025, 0.05, 0.1, 0.2)
     trials: int = 100
     seed: int = 0
-    oversample: int = OVERSAMPLE
 
     def __post_init__(self):
         if self.k < 1:
@@ -55,8 +54,6 @@ class ExperimentConfig:
             raise ConfigError("spikes do not fit on the circle at this separation")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.oversample < MIN_OVERSAMPLE:
-            raise ConfigError(f"oversample must be >= {MIN_OVERSAMPLE}")
         if any(nu < 0 for nu in self.nu_grid):
             raise ConfigError("nu must be >= 0")
 
@@ -125,16 +122,15 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, nu: float) -> TrialRecord:
     try:
         kernel1 = cached_kernel(cfg.f_c, cfg.c1)
         # The spike count is known, so the scan keeps the k largest peaks (eta = 0).
-        peaks = find_peaks(y, kernel1, PeakConfig(oversample=cfg.oversample, max_peaks=cfg.k))
+        peaks = find_peaks(y, kernel1, PeakConfig(max_peaks=cfg.k))
         k_tilde = peaks.k_tilde
         tau_init = peaks.tau0
         if k_tilde == 0:
             status, err = "no_peaks", FAILED_TRIAL_ERR
         else:
-            result = solve_phase2(y, peaks.tau0, kernel1, cached_kernel(cfg.f_c, cfg.c2))
-            tau_init, reseeds = result.centres, result.reseeds
-            estimate = result.report.tau_tilde
-            status = result.report.status
+            report = solve_phase2(y, peaks.tau0, kernel1, cached_kernel(cfg.f_c, cfg.c2))
+            tau_init, reseeds = report.centres, report.reseeds
+            estimate, status = report.tau_tilde, report.status
             err = hausdorff(estimate, truth.positions)
     except ValueError:  # DegenerateDictionaryError is a ValueError
         status, err = "error", FAILED_TRIAL_ERR

@@ -2,7 +2,7 @@
 
 The measurement spectrum is multiplied by the kernel coefficients (circular
 convolution in time), the magnitude of the result is scanned on a fine grid
-(at least oversample * N points, rounded up to a 5-smooth FFT length), and
+(OVERSAMPLE * N points rounded up to a 5-smooth FFT length, set by N alone), and
 its local maxima are selected greedily and polished by Newton steps on its
 derivative. The polish reads z, z' and z'' from their coefficient rows in
 `spectral.blocks` form, built once per scan, at J + B exponentials (about
@@ -31,7 +31,6 @@ from .spectral import (Spectrum, block_sum, blocks, eval_grid, half_band, pointw
 
 NEWTON_STEPS = 3  # quadratic convergence: from one grid cell (1/M) to below 1e-12
 OVERSAMPLE = 32  # grid points per coefficient, for phase 1 and the phase-2 re-seed
-MIN_OVERSAMPLE = 4
 POLISH_BATCH = 64  # at most this many points per `_polish` call (see `greedy_scan`)
 
 
@@ -40,12 +39,10 @@ class PeakConfig:
     """Knobs for the greedy scan."""
 
     eta: float = 0.0  # stop once the residual maximum falls to <= eta
-    oversample: int = OVERSAMPLE  # grid size M >= oversample * N, a 5-smooth FFT length
     max_peaks: Optional[int] = None
+    oversample = OVERSAMPLE  # not a field: read by bench/workloads.py for its grid probe
 
     def __post_init__(self):
-        if self.oversample < MIN_OVERSAMPLE:
-            raise ValueError(f"oversample must be >= {MIN_OVERSAMPLE}")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
 
@@ -101,19 +98,17 @@ def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResul
     cap = math.ceil(1.0 / (2.0 * kernel.sigma))
     if cfg.max_peaks is not None:
         cap = min(cap, cfg.max_peaks)
-    return greedy_scan(pointwise_mul(y, kernel.spectrum()), kernel.sigma,
-                       cfg.oversample * y.n, cap, cfg.eta)
+    return greedy_scan(pointwise_mul(y, kernel.spectrum()), kernel.sigma, cap, cfg.eta)
 
 
-def greedy_scan(z: Spectrum, sigma: float, m: int, cap: int, eta: float = 0.0,
-                taken=()) -> PeakResult:
-    """At most cap greedy picks of |z| on a grid of at least m points, each polished off-grid.
+def greedy_scan(z: Spectrum, sigma: float, cap: int, eta: float = 0.0, taken=()) -> PeakResult:
+    """At most cap greedy picks of |z| on the grid, each polished off-grid.
 
-    The grid has `smooth_len(m)` points, a fast FFT length. Positions in taken
-    are erased before the first pick and, like the picks, reject a polish that
-    slides back to within 2 sigma of them.
+    The grid has `smooth_len(OVERSAMPLE * N)` points, a fast FFT length. Positions
+    in taken are erased before the first pick and, like the picks, reject a polish
+    that slides back to within 2 sigma of them.
     """
-    m = smooth_len(m)
+    m = smooth_len(OVERSAMPLE * z.n)
     az = eval_grid(z, m)
     np.abs(az, out=az)
     zb = _derivative_blocks(z)

@@ -17,13 +17,13 @@ the real part of a sum weighted by `spectral.half_band`. Its phasors come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .circle import positions, separation, wrap, wrap_dist, wrap_signed
-from .peaks import OVERSAMPLE, greedy_scan
+from .peaks import greedy_scan
 from .slepian import SlepianKernel
 from .spectral import Spectrum, SpikeTrain, half_band, phasors, pointwise_mul, spike_fourier
 
@@ -52,8 +52,7 @@ class DictionaryMatrix:
     rho: np.ndarray
     G: np.ndarray  # (f_C + 1) x K complex, rows l = 0 .. f_C
     gh: np.ndarray  # K x (f_C + 1), the weighted adjoint: Re(gh @ x) is G* x over the full band
-    gram: np.ndarray  # K x K real SPD, G* G
-    gram_chol: np.ndarray  # lower-triangular Cholesky factor of gram
+    gram_chol: np.ndarray  # lower-triangular Cholesky factor of the Gram matrix Re(gh @ G) = G* G
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,8 @@ class SolveReport:
     grad_norm_final: float
     status: str
     iterations: int
+    centres: np.ndarray  # the box centres, in the order of tau_tilde
+    reseeds: int = 0  # prune-and-re-seed rounds before this run (`solve_phase2`)
     active_set_final: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
 
@@ -95,12 +96,11 @@ def build_G(rho, kernel: SlepianKernel) -> DictionaryMatrix:
         raise DegenerateDictionaryError("degenerate dictionary")
     G = kernel.ghat[kernel.f_c:, None] * phasors(kernel.f_c, -rho)
     gh = (half_band(kernel.f_c)[1][:, None] * G).conj().T
-    gram = (gh @ G).real
-    chol, info = dpotrf(gram, lower=1, clean=1)
+    chol, info = dpotrf((gh @ G).real, lower=1, clean=1)
     # Near-duplicate positions leave the Gram numerically PD but useless.
     if info > 0 or np.diag(chol).min() < 1e-3:
         raise DegenerateDictionaryError("degenerate dictionary")
-    return DictionaryMatrix(rho=rho, G=G, gh=gh, gram=gram, gram_chol=chol)
+    return DictionaryMatrix(rho=rho, G=G, gh=gh, gram_chol=chol)
 
 
 def least_squares_beta(d: DictionaryMatrix, zhat: Spectrum) -> np.ndarray:
@@ -253,6 +253,7 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         grad_norm_final=float(np.linalg.norm(_gradient(p, ls)[0])),
         status=status,
         iterations=iterations,
+        centres=box.center,
         active_set_final=np.flatnonzero(np.abs(u) >= r),
     )
 
@@ -271,15 +272,8 @@ def _prune(tau: np.ndarray, beta: np.ndarray, radius: float) -> np.ndarray:
     return tau[keep]
 
 
-@dataclass(frozen=True)
-class Phase2Result:
-    report: SolveReport  # the final round's
-    centres: np.ndarray  # the final round's box centres, in the order of report.tau_tilde
-    reseeds: int
-
-
 def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
-                 kernel2: SlepianKernel) -> Phase2Result:
+                 kernel2: SlepianKernel) -> SolveReport:
     """Phase 2 from the phase-1 picks tau0: run_newton on y filtered by kernel2,
     in boxes of radius sigma1 around tau0, then prune-and-re-seed rounds.
 
@@ -290,26 +284,26 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
     per dropped atom from phase 1's greedy scan (`peaks.greedy_scan`, erasure
     radius 2 sigma1) on phase 2's own residual
     zhat - ghat2 sum_i beta_i e^{-2 pi i l tau_i}, with the kept atoms taken,
-    and runs Newton again in boxes around the new atoms. This is the
+    and runs Newton again in boxes around the new atoms. Returns the final
+    round's report, with its reseeds count set. This is the
     local-improvement step of ADCG (Boyd, Schiebinger and Recht, SIAM J.
     Optim. 27, 2017) and of sliding Frank-Wolfe (Denoyelle, Duval, Peyre and
     Soubies, Inverse Problems 36, 2019).
     """
     zhat = pointwise_mul(y, kernel2.spectrum())
     radius = kernel1.sigma
-    centres = np.asarray(tau0, dtype=float)
-    report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius), NewtonConfig())
+    report = run_newton(tau0, kernel2, zhat, BoxConstraint(tau0, radius), NewtonConfig())
     reseeds = 0
     while report.status == STATUS_HESSIAN_NOT_PD and reseeds < MAX_RESEEDS:
         model = spike_fourier(SpikeTrain(report.tau_tilde, report.beta), y.f_c)
         resid = Spectrum(y.f_c, zhat.coeffs - kernel2.ghat * model.coeffs, real_signal=True)
         kept = _prune(report.tau_tilde, report.beta, radius)
         dropped = report.tau_tilde.size - kept.size
-        pick = greedy_scan(resid, radius, OVERSAMPLE * y.n, dropped, taken=kept).tau0
+        pick = greedy_scan(resid, radius, dropped, taken=kept).tau0
         if not pick.size:
             break
         centres = np.append(kept, pick)
         report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius),
                             NewtonConfig())
         reseeds += 1
-    return Phase2Result(report=report, centres=centres, reseeds=reseeds)
+    return replace(report, reseeds=reseeds)

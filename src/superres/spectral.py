@@ -154,11 +154,15 @@ class Spectrum:
 
 
 def spike_fourier(x: SpikeTrain, f_c: int) -> Spectrum:
-    """Fourier coefficients of a spike train: sum_i alpha_i e^{-i 2 pi l tau_i}."""
+    """Fourier coefficients of a spike train: sum_i alpha_i e^{-i 2 pi l tau_i}.
+
+    The half band l >= 0 comes from `phasors`; l < 0 is its conjugate mirror, so
+    the spectrum is Hermitian by construction.
+    """
     if f_c < 1:
         raise ValueError("f_c must be >= 1")
-    phases = np.exp(-2j * np.pi * np.outer(ells(f_c), x.positions))
-    return Spectrum(f_c, phases @ x.amplitudes, real_signal=True)
+    half = phasors(f_c, -x.positions) @ x.amplitudes
+    return Spectrum(f_c, np.concatenate([np.conj(half[:0:-1]), half]), real_signal=True)
 
 
 def synth_noise(f_c: int, nu: float, seed: int) -> Spectrum:

@@ -2,6 +2,8 @@
 
 import math
 from collections import Counter
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from superres.peaks import (
     find_peaks,
     greedy_scan,
 )
-from superres.refine import BoxConstraint
+from superres.refine import BoxConstraint, solve_phase2
 from superres.slepian import build_kernel
 from superres.spectral import (
     SpikeTrain,
@@ -31,7 +33,9 @@ from superres.spectral import (
     eval_grid,
     eval_point,
     half_band,
+    load_spectrum_csv,
     pointwise_mul,
+    smooth_len,
     spike_fourier,
     synth_noise,
 )
@@ -46,9 +50,10 @@ def kernel50():
 
 
 class TestConfig:
-    def test_oversample_floor(self):
-        with pytest.raises(ValueError, match="oversample"):
-            PeakConfig(oversample=2)
+    def test_grid_is_not_a_setting(self):
+        assert [f.name for f in fields(PeakConfig)] == ["eta", "max_peaks"]
+        with pytest.raises(TypeError):
+            PeakConfig(oversample=8)
 
     def test_negative_eta(self):
         with pytest.raises(ValueError, match="eta"):
@@ -109,12 +114,21 @@ class TestBasicCases:
 
 class TestInvariances:
     def test_amplitude_scaling_leaves_selection_unchanged(self, kernel50):
+        # Scaling by a power of two is exact in every operation of the scan, so
+        # the picks keep their bits. Another scale rounds the last Newton step
+        # differently, so a polished pick may move by an ulp.
         y = spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), 50)
-        scaled = Spectrum(50, 3.7 * y.coeffs, real_signal=True)
-        a = find_peaks(y, kernel50, PeakConfig(max_peaks=7))
-        b = find_peaks(scaled, kernel50, PeakConfig(max_peaks=7))
-        assert np.array_equal(a.tau0, b.tau0)
-        assert np.allclose(b.peak_values, 3.7 * a.peak_values, rtol=1e-9)
+
+        def scan(scale):
+            scaled = Spectrum(50, scale * y.coeffs, real_signal=True)
+            return find_peaks(scaled, kernel50, PeakConfig(max_peaks=7))
+
+        a, exact, inexact = scan(1.0), scan(4.0), scan(3.7)
+        assert np.array_equal(exact.tau0, a.tau0)
+        assert np.array_equal(exact.peak_values, 4.0 * a.peak_values)
+        assert inexact.iterations == a.iterations
+        assert np.all(np.abs(inexact.tau0 - a.tau0) <= 2 * np.spacing(a.tau0))
+        assert np.allclose(inexact.peak_values, 3.7 * a.peak_values, rtol=1e-9)
 
     def test_shift_covariance(self, kernel50):
         shift = 0.123
@@ -149,9 +163,10 @@ class TestInvariances:
         BoxConstraint(result.tau0, kernel50.sigma)
 
     @pytest.mark.parametrize("oversample", [4, 8, 32])
-    def test_polish_locates_single_spike(self, kernel50, oversample):
+    def test_polish_locates_single_spike(self, kernel50, oversample, monkeypatch):
+        monkeypatch.setattr(peaks, "OVERSAMPLE", oversample)
         y = spike_fourier(SpikeTrain([0.123456], [1.0]), 50)
-        result = find_peaks(y, kernel50, PeakConfig(max_peaks=1, oversample=oversample))
+        result = find_peaks(y, kernel50, PeakConfig(max_peaks=1))
         assert wrap_dist(result.tau0[0], 0.123456) <= 1e-12
 
     def test_concavity_guard_returns_grid_point(self, kernel50):
@@ -211,14 +226,14 @@ def direct_polish(z, t, half_width):
     return wrap(t), abs(f0)
 
 
-def grid_len(oversample, y):
-    return next_fast_len(oversample * y.n, real=True)
+def grid_len(y):
+    return next_fast_len(peaks.OVERSAMPLE * y.n, real=True)
 
 
 def masked_scan(y, kernel, cfg, direct=False, taken=()):
     """Reference greedy scan: re-mask all M grid points and take the argmax per pick.
 
-    M is scipy's fast real FFT length at or above oversample * N. direct=True
+    M is scipy's fast real FFT length at or above OVERSAMPLE * N. direct=True
     polishes with `direct_polish` instead of the library's `_polish`. The grid
     within 2 sigma of a taken position is masked from the start, and a polish
     that lands there is dropped.
@@ -226,7 +241,7 @@ def masked_scan(y, kernel, cfg, direct=False, taken=()):
     sigma = kernel.sigma
     z = pointwise_mul(y, kernel.spectrum())
     zb = _derivative_blocks(z)
-    m = grid_len(cfg.oversample, y)
+    m = grid_len(y)
     az = np.abs(eval_grid(z, m))
     grid = np.arange(m) / m
     cap = math.ceil(1.0 / (2.0 * sigma))
@@ -257,12 +272,13 @@ def masked_scan(y, kernel, cfg, direct=False, taken=()):
 
 class TestCandidateScan:
     @pytest.mark.parametrize("nu", [0.0, 0.1])
-    @pytest.mark.parametrize("cfg", [
-        PeakConfig(max_peaks=14),
-        PeakConfig(),
-        PeakConfig(eta=0.05, oversample=8),
+    @pytest.mark.parametrize("cfg, oversample", [
+        (PeakConfig(max_peaks=14), OVERSAMPLE),
+        (PeakConfig(), OVERSAMPLE),
+        (PeakConfig(eta=0.05), 8),
     ], ids=["max_peaks", "eta0_uncapped", "eta_positive"])
-    def test_matches_masked_scan(self, kernel50, nu, cfg):
+    def test_matches_masked_scan(self, kernel50, nu, cfg, oversample, monkeypatch):
+        monkeypatch.setattr(peaks, "OVERSAMPLE", oversample)
         rng = np.random.default_rng(7)
         for trial in range(10):
             positions = rng.random(14)
@@ -305,7 +321,7 @@ class TestCandidateScan:
         taken = np.asarray(taken)
         tau0, values, iterations = masked_scan(y, kernel50, PeakConfig(), taken=taken)
         cap = math.ceil(1.0 / (2.0 * kernel50.sigma))
-        result = greedy_scan(z, kernel50.sigma, OVERSAMPLE * z.n, cap, taken=taken)
+        result = greedy_scan(z, kernel50.sigma, cap, taken=taken)
         # a pick or a taken position erases an arc across 0
         assert wrap_dist(np.concatenate([taken, tau0]), 0.0).min() < 2.0 * kernel50.sigma
         assert np.array_equal(result.tau0, tau0)
@@ -327,7 +343,7 @@ class TestGreedyScan:
     def test_no_pick_within_two_sigma_of_a_taken_position(self, kernel50, seed, nu, n_taken):
         _, z = scan_input(kernel50, seed, nu)
         taken = np.random.default_rng(seed + 1).random(n_taken)
-        result = greedy_scan(z, kernel50.sigma, OVERSAMPLE * z.n, 14, taken=taken)
+        result = greedy_scan(z, kernel50.sigma, 14, taken=taken)
         assert result.k_tilde >= 1
         assert wrap_dist(result.tau0[:, None], taken[None, :]).min() > 2.0 * kernel50.sigma
 
@@ -337,7 +353,7 @@ class TestGreedyScan:
         y, z = scan_input(kernel50, seed, nu)
         result = find_peaks(y, kernel50, PeakConfig())
         cap = math.ceil(1.0 / (2.0 * kernel50.sigma))
-        scan = greedy_scan(z, kernel50.sigma, OVERSAMPLE * z.n, cap)
+        scan = greedy_scan(z, kernel50.sigma, cap)
         assert np.array_equal(scan.tau0, result.tau0)
         assert np.array_equal(scan.peak_values, result.peak_values)
         assert scan.iterations == result.iterations
@@ -349,13 +365,32 @@ class TestGreedyScan:
             y, z = scan_input(kernel50, trial, 0.1 * (trial % 2))
             # taken positions both on and off the grid
             taken = np.random.default_rng(trial).random(n_taken)
-            m = grid_len(OVERSAMPLE, z)
+            m = grid_len(z)
             taken[0] = np.round(taken[0] * m) / m
             tau0, values, iterations = masked_scan(y, kernel50, cfg, taken=taken)
-            result = greedy_scan(z, kernel50.sigma, OVERSAMPLE * z.n, 14, taken=taken)
+            result = greedy_scan(z, kernel50.sigma, 14, taken=taken)
             assert np.array_equal(result.tau0, tau0), f"trial {trial}"
             assert np.array_equal(result.peak_values, values), f"trial {trial}"
             assert result.iterations == iterations, f"trial {trial}"
+
+
+class TestGridRule:
+    def test_phase1_and_reseed_scan_one_grid(self, kernel50, monkeypatch):
+        # make_pool("noisy", 2, 600) #520 of the benchmark: the first Newton run
+        # ends hessian_not_pd, so solve_phase2 scans its residual again.
+        y = load_spectrum_csv(Path(__file__).parent / "data" / "close_pair_after_newton.csv")
+        grids = []
+
+        def recorded(s, m):
+            grids.append(m)
+            return eval_grid(s, m)
+
+        monkeypatch.setattr(peaks, "eval_grid", recorded)
+        tau0 = find_peaks(y, kernel50, PeakConfig(max_peaks=14)).tau0
+        assert len(grids) == 1
+        report = solve_phase2(y, tau0, kernel50, build_kernel(50, 2.25))
+        assert report.reseeds >= 1 and len(grids) > 1
+        assert set(grids) == {smooth_len(OVERSAMPLE * y.n)}
 
 
 class TestDirectPolishOracle:

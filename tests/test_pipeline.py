@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ KS_DRAWS = 2000
 RARE_CASE, RARE_DRAWS, RARE_BATCH = (14, 0.04), 200, 8192
 
 
+def usage_error(argv, capsys) -> str:
+    """The stderr of a main(argv) that exits 1, without argparse's usage lines.
+
+    A bad value makes main return 1; an option that the command does not take
+    exits 1 from inside argparse, which prints the usage first.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    return re.sub(r"\Ausage: .*?\n(?! )", "", capsys.readouterr().err, flags=re.S)
+
+
 def min_gaps(rows):
     """The smallest wraparound gap of each row."""
     srt = np.sort(rows, axis=1)
@@ -87,7 +102,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(trials=0)
 
-    @pytest.mark.parametrize("field,value", [("k", 0), ("oversample", 2), ("sep_min", -0.5)])
+    @pytest.mark.parametrize("field,value", [("k", 0), ("sep_min", -0.5)])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
@@ -311,7 +326,7 @@ class TestCli:
         def fixed_status(tau0, *args):
             return SolveReport(tau_tilde=tau0, beta=np.zeros(tau0.size),
                                f_trace=np.array([0.0]), grad_norm_final=0.0,
-                               status=status, iterations=1)
+                               status=status, iterations=1, centres=tau0)
 
         monkeypatch.setattr(superres.refine, "run_newton", fixed_status)
         assert main(["solve", "--input", example_csv, "--fc", "50", "--c1", "1.5"]) == code
@@ -343,8 +358,9 @@ class TestCli:
         ({"eta": "five"}, 'eta: "five" is not a valid float'),
         ({"fc": 50.5}, "fc: 50.5 is not a valid int"),
         ({"eta": [5.0]}, "eta: [5.0] is not a valid float"),
+        ({"oversample": 8}, "keys must be options"),  # the scan grid is not a setting
     ], ids=["internal_name", "typo", "not_an_object", "null", "non_numeric_string",
-            "fractional_int", "list"])
+            "fractional_int", "list", "oversample"])
     def test_config_file_rejects_non_options(self, example_csv, tmp_path, capsys,
                                              config, message):
         path = tmp_path / "cfg.json"
@@ -384,7 +400,7 @@ class TestCli:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ["mc", "--oversample", "2"],
+        ["mc", "--oversample", "32"],  # the scan grid is not a setting
         ["mc", "--k", "0"],
         ["mc", "--trials", "0"],
         ["mc", "--k", "30", "--sep-min", "0.05"],
@@ -393,18 +409,19 @@ class TestCli:
         ["gradcheck", "--n-points", "0"],
     ], ids=["oversample", "k", "trials", "overfull", "nu", "sep_min", "n_points"])
     def test_out_of_range_setting_is_usage_error(self, argv, capsys):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
+        err = usage_error(argv, capsys)
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,message", [
-        (["phase1", "--oversample", "2"], "oversample must be >= 4"),
+        # the scan grid is not a setting
+        (["phase1", "--oversample", "32"], "unrecognized arguments: --oversample 32"),
+        (["solve", "--oversample", "8"], "unrecognized arguments: --oversample 8"),
         (["solve", "--eta", "-1"], "eta must be >= 0"),
-    ], ids=["phase1_oversample", "solve_eta"])
+    ], ids=["phase1_oversample", "solve_oversample", "solve_eta"])
     def test_out_of_range_peak_setting_is_usage_error(self, example_csv, capsys, argv,
                                                       message):
-        assert main(argv + ["--input", example_csv, "--fc", "50", "--c1", "1.5"]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        argv = argv + ["--input", example_csv, "--fc", "50", "--c1", "1.5"]
+        assert usage_error(argv, capsys) == f"error: {message}\n"
 
     def test_mc_gate(self, tmp_path, capsys):
         base = ["mc", "--fc", "50", "--c1", "1.5", "--c2", "2.25", "--k", "5",

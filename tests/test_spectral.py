@@ -128,6 +128,17 @@ class TestSpikeFourier:
             )
             assert s.coeffs[l + s.f_c] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("f_c", [1, 50, 1000, 4000])
+    def test_hermitian_and_matches_full_band_exp(self, f_c):
+        # The half band comes from `phasors` and is mirrored, so the spectrum is
+        # Hermitian bit for bit; its error is the direct exp's, from rounding 2 pi l tau.
+        rng = np.random.default_rng(f_c)
+        x = SpikeTrain(rng.random(14), rng.standard_normal(14))
+        coeffs = spike_fourier(x, f_c).coeffs
+        assert np.array_equal(coeffs, np.conj(coeffs[::-1]))
+        direct = np.exp(-2j * np.pi * np.outer(ells(f_c), x.positions)) @ x.amplitudes
+        assert np.abs(coeffs - direct).max() <= 1e-11 * np.abs(x.amplitudes).sum()
+
     def test_zero_frequency_is_total_mass(self):
         s = spike_fourier(SpikeTrain([0.1, 0.6], [3.0, -1.0]), 4)
         assert s.coeffs[s.f_c] == pytest.approx(2.0)
