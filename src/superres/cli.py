@@ -20,12 +20,12 @@ from .experiments import (
     HESS_CHECK_RTOL,
     ConfigError,
     ExperimentConfig,
+    checked_kernel,
     gradcheck,
     run_monte_carlo,
 )
 from .peaks import PeakConfig, find_peaks
 from .refine import STATUS_CONVERGED, solve_phase2
-from .slepian import build_kernel
 from .spectral import Spectrum, ells, eval_grid, load_spectrum_csv
 
 EXIT_OK = 0
@@ -94,7 +94,11 @@ def _peak_config(args) -> PeakConfig:
 
 
 def _cmd_kernel(args) -> int:
-    kernel = build_kernel(args.fc, args.c)
+    kernel = checked_kernel(args.fc, args.c, "--c")
+    try:  # before any output, so a grid too coarse writes nothing
+        values = eval_grid(kernel.spectrum(), args.grid) if args.grid else ()
+    except ValueError as exc:
+        raise ConfigError(f"--grid {args.grid}: {exc}") from exc
     csv = "l,ghat\n" + "".join(f"{l},{g:.17g}\n" for l, g in zip(ells(kernel.f_c), kernel.ghat))
     if args.dump:
         with open(args.dump, "w") as fh:
@@ -102,7 +106,6 @@ def _cmd_kernel(args) -> int:
     else:
         sys.stdout.write(csv)
     if args.grid:
-        values = eval_grid(kernel.spectrum(), args.grid)
         print("t,g")
         for k, v in enumerate(values):
             print(f"{k / args.grid:.17g},{v:.17g}")
@@ -112,8 +115,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_phase1(args) -> int:
     y = _load_input(args)
     cfg = _peak_config(args)
-    kernel = build_kernel(args.fc, args.c1)
-    result = find_peaks(y, kernel, cfg)
+    result = find_peaks(y, checked_kernel(args.fc, args.c1, "--c1"), cfg)
     print(json.dumps({
         "k_tilde": result.k_tilde,
         "tau0": list(result.tau0),
@@ -126,13 +128,14 @@ def _cmd_solve(args) -> int:
     y = _load_input(args)
     cfg = _peak_config(args)
     c2 = args.c2 if args.c2 is not None else 1.5 * args.c1
-    kernel1 = build_kernel(args.fc, args.c1)
+    kernel1 = checked_kernel(args.fc, args.c1, "--c1")
+    kernel2 = checked_kernel(args.fc, c2, "--c2")
     peaks = find_peaks(y, kernel1, cfg)
     if peaks.k_tilde == 0:
         print(json.dumps({"k_tilde": 0, "positions": [], "amplitudes": [],
                           "status": "no_peaks", "reseeds": 0, "f_trace": []}))
         return EXIT_NUMERICAL
-    report = solve_phase2(y, peaks.tau0, kernel1, build_kernel(args.fc, c2))
+    report = solve_phase2(y, peaks.tau0, kernel1, kernel2)
     print(json.dumps({
         "k_tilde": peaks.k_tilde,
         "positions": list(report.tau_tilde),

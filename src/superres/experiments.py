@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if any(nu < 0 for nu in self.nu_grid):
             raise ConfigError("nu must be >= 0")
+        checked_kernel(self.f_c, self.c1, "c1")
+        checked_kernel(self.f_c, self.c2, "c2")
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,14 @@ class TrialRecord:
 @functools.lru_cache(maxsize=16)
 def cached_kernel(f_c: int, c: float) -> SlepianKernel:
     return build_kernel(f_c, c)
+
+
+def checked_kernel(f_c: int, c: float, name: str) -> SlepianKernel:
+    """`cached_kernel`, with build_kernel's range errors as ConfigErrors naming c."""
+    try:
+        return cached_kernel(f_c, c)
+    except ValueError as exc:
+        raise ConfigError(f"{name} = {c:g} at f_c = {f_c}: {exc}") from exc
 
 
 def sample_positions(rng: np.random.Generator, k: int, sep_min: float) -> np.ndarray:
@@ -213,12 +223,10 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
     at random feasible configurations."""
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")
-    n = 2 * f_c + 1
-    sigma1 = c1 / n
-    sigma2 = c2 / n
-    kernel2 = cached_kernel(f_c, c2)
+    sigma1 = checked_kernel(f_c, c1, "c1").sigma
+    kernel2 = checked_kernel(f_c, c2, "c2")
     rng = np.random.Generator(np.random.Philox(seed))
-    h = 1e-7 * sigma2
+    h = 1e-7 * kernel2.sigma
 
     max_grad = 0.0
     max_hess = 0.0

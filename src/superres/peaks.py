@@ -11,14 +11,15 @@ reached without a polish is polished together with the alive candidates that
 follow it in value order, up to the picks still open, with one `block_sum`
 call per Newton step. After each selection the local maxima within 2 sigma
 of the peak are erased so nearby lobes of the same spike cannot be picked
-again; they are kept in position order, so the erased arc is found by binary
-search. Phase 2's re-seed runs the same scan (`greedy_scan`) on its residual.
+again, and a polish that slides back that close to an earlier pick is dropped.
+One binary search over positions (`_near`) serves both tests. Phase 2's
+re-seed runs the same scan (`greedy_scan`) on its residual.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -66,17 +67,16 @@ def _derivative_blocks(z: Spectrum) -> np.ndarray:
     return blocks(np.stack([c0, c1, w * c1]))
 
 
-def _polish(zb: np.ndarray, t, half_width: float):
-    """Newton steps on z' from grid points t, each clipped to its t -/+ half_width;
-    returns (t, |z(t)|), as floats for a scalar t and as arrays for a 1-D t.
+def _polish(zb: np.ndarray, t: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps on z' from the grid points t, each clipped to its t -/+ half_width;
+    returns (t, |z(t)|).
 
     zb is `_derivative_blocks(z)`. A point stops where sign(z) z'' >= 0, since |z|
     is not concave there. Each step evaluates every point in one `block_sum` call,
     whose per-point bits do not depend on the batch: a stopped point is evaluated
     at the same t again, so it stays stopped and keeps its value.
     """
-    scalar = np.ndim(t) == 0
-    t = np.array(t, dtype=float, ndmin=1)
+    t = np.array(t, dtype=float)
     lo, hi = t - half_width, t + half_width
     for step in range(NEWTON_STEPS + 1):
         f0, f1, f2 = block_sum(zb, t).T
@@ -87,8 +87,21 @@ def _polish(zb: np.ndarray, t, half_width: float):
             break
         t[go] = np.clip(t[go] - f1[go] / f2[go], lo[go], hi[go])
     t %= 1.0
-    value = np.abs(f0)
-    return (float(t[0]), float(value[0])) if scalar else (t, value)
+    return t, np.abs(f0)
+
+
+def _near(points: list[float], t: float, radius: float, reach: float) -> list[int]:
+    """Indices k of the sorted points in [0, 1) with wrap_dist(points[k], t) <= radius,
+    in `wrap_dist`'s arithmetic. Only the points found by bisection within reach of
+    t mod 1 or its images one period away are tested: reach > radius + rounding."""
+    c = t % 1.0
+    near = []
+    for a0, a1 in ((-1.0 - reach, -1.0 + reach), (-reach, reach), (1.0 - reach, 1.0 + reach)):
+        for k in range(bisect_left(points, c + a0), bisect_left(points, c + a1)):
+            d = abs(points[k] - t) % 1.0
+            if min(d, 1.0 - d) <= radius:
+                near.append(k)
+    return near
 
 
 def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResult:
@@ -130,33 +143,13 @@ def greedy_scan(z: Spectrum, sigma: float, cap: int, eta: float = 0.0, taken=())
     peak = peak.tolist()
     alive = [True] * len(pos)
     two_sigma = 2.0 * sigma
-    reach = two_sigma + 1.0 / m  # past any rounding of the exact tests below
-    arcs = ((-1.0 - reach, -1.0 + reach), (-reach, reach), (1.0 - reach, 1.0 + reach))
-    # Occupied positions by bucket of width >= reach: whatever lies within reach of t
-    # sits in t's bucket or a neighbour.
-    n_buckets = max(1, int(1.0 / reach))
-    buckets: list[list[float]] = [[] for _ in range(n_buckets)]
-
-    # Both distance tests use `wrap_dist`'s arithmetic in Python floats:
-    # |a - b| mod 1, then min(d, 1 - d).
-    def bucket(t: float) -> int:
-        return int(t % 1.0 * n_buckets) % n_buckets
+    reach = two_sigma + 1.0 / m  # past any rounding of `_near`'s exact test
+    occupied: list[float] = []  # picks and taken, mod 1, sorted
 
     def occupy(t: float) -> None:
-        """Kill the candidates within 2 sigma of t: the exact test, inside t's arc only."""
-        buckets[bucket(t)].append(t)
-        c = t % 1.0
-        for a0, a1 in arcs:
-            for k in range(bisect_left(pos, c + a0), bisect_left(pos, c + a1)):
-                d = abs(pos[k] - t) % 1.0
-                if min(d, 1.0 - d) <= two_sigma:
-                    alive[k] = False
-
-    def slid_back(t: float) -> bool:
-        """Whether t is within 2 sigma of an occupied position."""
-        b = bucket(t)
-        near = (o for k in (b - 1, b, b + 1) for o in buckets[k % n_buckets])
-        return any(min(d, 1.0 - d) <= two_sigma for d in (abs(t - o) % 1.0 for o in near))
+        insort(occupied, t % 1.0)
+        for k in _near(pos, t, two_sigma, reach):
+            alive[k] = False
 
     for t in np.atleast_1d(taken).tolist():
         occupy(float(t))
@@ -181,7 +174,7 @@ def greedy_scan(z: Spectrum, sigma: float, cap: int, eta: float = 0.0, taken=())
             ts, vals = _polish(zb, grid_pos[batch], 1.0 / m)
             polished.update(zip(batch, zip(ts.tolist(), vals.tolist())))
         t, value = polished[i]
-        if slid_back(t):
+        if _near(occupied, t, two_sigma, reach):
             continue  # the polish slid back onto an earlier pick's (or a taken) lobe
         tau0.append(t)
         values.append(value)

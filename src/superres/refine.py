@@ -17,7 +17,7 @@ the real part of a sum weighted by `spectral.half_band`. Its phasors come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -49,7 +49,6 @@ class DegenerateDictionaryError(ValueError):
 class DictionaryMatrix:
     """Kernel coefficients modulated to candidate positions, with Gram factor."""
 
-    rho: np.ndarray
     G: np.ndarray  # (f_C + 1) x K complex, rows l = 0 .. f_C
     gh: np.ndarray  # K x (f_C + 1), the weighted adjoint: Re(gh @ x) is G* x over the full band
     gram_chol: np.ndarray  # lower-triangular Cholesky factor of the Gram matrix Re(gh @ G) = G* G
@@ -86,21 +85,18 @@ class SolveReport:
     iterations: int
     centres: np.ndarray  # the box centres, in the order of tau_tilde
     reseeds: int = 0  # prune-and-re-seed rounds before this run (`solve_phase2`)
-    active_set_final: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
 
 def build_G(rho, kernel: SlepianKernel) -> DictionaryMatrix:
     """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} (l >= 0) and its Gram factor."""
-    rho = positions(rho)
-    if rho.size > 1 and separation(rho) == 0.0:
-        raise DegenerateDictionaryError("degenerate dictionary")
-    G = kernel.ghat[kernel.f_c:, None] * phasors(kernel.f_c, -rho)
+    G = kernel.ghat[kernel.f_c:, None] * phasors(kernel.f_c, -positions(rho))
     gh = (half_band(kernel.f_c)[1][:, None] * G).conj().T
     chol, info = dpotrf((gh @ G).real, lower=1, clean=1)
-    # Near-duplicate positions leave the Gram numerically PD but useless.
+    # Exact duplicates make the Gram singular; near-duplicates leave it numerically
+    # PD but useless.
     if info > 0 or np.diag(chol).min() < 1e-3:
         raise DegenerateDictionaryError("degenerate dictionary")
-    return DictionaryMatrix(rho=rho, G=G, gh=gh, gram_chol=chol)
+    return DictionaryMatrix(G=G, gh=gh, gram_chol=chol)
 
 
 def least_squares_beta(d: DictionaryMatrix, zhat: Spectrum) -> np.ndarray:
@@ -254,7 +250,6 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         status=status,
         iterations=iterations,
         centres=box.center,
-        active_set_final=np.flatnonzero(np.abs(u) >= r),
     )
 
 
@@ -292,9 +287,11 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
     """
     zhat = pointwise_mul(y, kernel2.spectrum())
     radius = kernel1.sigma
-    report = run_newton(tau0, kernel2, zhat, BoxConstraint(tau0, radius), NewtonConfig())
-    reseeds = 0
-    while report.status == STATUS_HESSIAN_NOT_PD and reseeds < MAX_RESEEDS:
+    centres = tau0
+    for reseeds in range(MAX_RESEEDS + 1):
+        report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius))
+        if report.status != STATUS_HESSIAN_NOT_PD or reseeds == MAX_RESEEDS:
+            break
         model = spike_fourier(SpikeTrain(report.tau_tilde, report.beta), y.f_c)
         resid = Spectrum(y.f_c, zhat.coeffs - kernel2.ghat * model.coeffs, real_signal=True)
         kept = _prune(report.tau_tilde, report.beta, radius)
@@ -303,7 +300,4 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
         if not pick.size:
             break
         centres = np.append(kept, pick)
-        report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius),
-                            NewtonConfig())
-        reseeds += 1
     return replace(report, reseeds=reseeds)

@@ -176,9 +176,9 @@ class TestInvariances:
         t0, h = 0.5 + kernel50.sigma, 1e-4
         assert eval_point(z, t0) > 0
         assert eval_point(z, t0 + h) + eval_point(z, t0 - h) - 2 * eval_point(z, t0) > 0
-        t, value = _polish(_derivative_blocks(z), t0, 1.0 / (32 * 101))
-        assert t == t0
-        assert value == pytest.approx(eval_point(z, t0), rel=1e-12)
+        t, value = _polish(_derivative_blocks(z), np.array([t0]), 1.0 / (32 * 101))
+        assert t[0] == t0
+        assert value[0] == pytest.approx(eval_point(z, t0), rel=1e-12)
 
     def test_result_is_frozen(self, kernel50):
         y = spike_fourier(SpikeTrain([0.5], [1.0]), 50)
@@ -260,7 +260,7 @@ def masked_scan(y, kernel, cfg, direct=False, taken=()):
         if direct:
             t, value = direct_polish(z, grid[idx], 1.0 / m)
         else:
-            t, value = _polish(zb, grid[idx], 1.0 / m)
+            t, value = (a[0] for a in _polish(zb, grid[idx:idx + 1], 1.0 / m))
         alive[idx] = False
         if wrap_dist(t, np.concatenate([taken, tau0])).min(initial=1.0) <= 2.0 * sigma:
             continue
@@ -374,6 +374,22 @@ class TestGreedyScan:
             assert result.iterations == iterations, f"trial {trial}"
 
 
+class TestNear:
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+           st.one_of(st.floats(0.0, 1e-3), st.floats(1.0 - 1e-3, 1.0, exclude_max=True),
+                     st.floats(0.0, 1.0, exclude_max=True)),
+           st.sampled_from([2, 50, 1000]), st.floats(0.5, 2.4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_wrap_dist(self, points, t, f_c, c):
+        n = 2 * f_c + 1
+        two_sigma = 2.0 * c / n
+        reach = two_sigma + 1.0 / smooth_len(OVERSAMPLE * n)
+        # points on the boundary of t's 2 sigma arc too, on both sides of the wrap
+        points = sorted(points + [(t + two_sigma) % 1.0, (t - two_sigma) % 1.0])
+        expected = np.flatnonzero(wrap_dist(np.array(points), t) <= two_sigma)
+        assert sorted(set(peaks._near(points, t, two_sigma, reach))) == expected.tolist()
+
+
 class TestGridRule:
     def test_phase1_and_reseed_scan_one_grid(self, kernel50, monkeypatch):
         # make_pool("noisy", 2, 600) #520 of the benchmark: the first Newton run
@@ -445,14 +461,13 @@ class TestBatchPolish:
         t = np.random.default_rng(f_c).random(600)
         half_width = 0.5 / z.n
         evals, polishes = count_polish_work(monkeypatch)
-        one = [peaks._polish(zb, ti, half_width) for ti in t.tolist()]
-        assert all(isinstance(ti, float) and isinstance(v, float) for ti, v in one)
+        one = [peaks._polish(zb, t[k:k + 1], half_width) for k in range(t.size)]
         stops = Counter(n - 1 for n in polishes)  # the step a point stopped at
         assert {0, 1, NEWTON_STEPS} <= set(stops), stops
         evals.clear()
         ts, values = peaks._polish(zb, t, half_width)
-        assert np.array_equal(ts, [ti for ti, _ in one])
-        assert np.array_equal(values, [v for _, v in one])
+        assert np.array_equal(ts, np.concatenate([ti for ti, _ in one]))
+        assert np.array_equal(values, np.concatenate([v for _, v in one]))
         assert len(evals) == NEWTON_STEPS + 1 and evals[0] == t.size
 
     def test_find_peaks_polishes_in_batches(self, kernel50, monkeypatch):

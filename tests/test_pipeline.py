@@ -55,7 +55,8 @@ RARE_CASE, RARE_DRAWS, RARE_BATCH = (14, 0.04), 200, 8192
 
 
 def usage_error(argv, capsys) -> str:
-    """The stderr of a main(argv) that exits 1, without argparse's usage lines.
+    """The stderr of a main(argv) that exits 1 with nothing on stdout, without
+    argparse's usage lines.
 
     A bad value makes main return 1; an option that the command does not take
     exits 1 from inside argparse, which prints the usage first.
@@ -65,7 +66,9 @@ def usage_error(argv, capsys) -> str:
     except SystemExit as exc:
         code = exc.code
     assert code == 1
-    return re.sub(r"\Ausage: .*?\n(?! )", "", capsys.readouterr().err, flags=re.S)
+    out, err = capsys.readouterr()
+    assert out == ""
+    return re.sub(r"\Ausage: .*?\n(?! )", "", err, flags=re.S)
 
 
 def min_gaps(rows):
@@ -102,7 +105,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(trials=0)
 
-    @pytest.mark.parametrize("field,value", [("k", 0), ("sep_min", -0.5)])
+    @pytest.mark.parametrize("field,value", [("k", 0), ("sep_min", -0.5), ("c1", 60),
+                                             ("c2", -1), ("f_c", 0)])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
@@ -293,10 +297,6 @@ class TestCli:
         assert main(["kernel", "--fc", "10", "--c", "1.5"]) == 0
         assert out.read_text() == capsys.readouterr().out
 
-    def test_kernel_bad_sigma_numerical_exit(self, capsys):
-        assert main(["kernel", "--fc", "1", "--c", "2.0"]) == 2
-        capsys.readouterr()
-
     def test_phase1_json(self, example_csv, capsys):
         assert main(["phase1", "--input", example_csv, "--fc", "50",
                      "--c1", "1.5", "--eta", "5.0"]) == 0
@@ -407,9 +407,24 @@ class TestCli:
         ["mc", "--nu", "0.0", "-0.1"],
         ["mc", "--sep-min", "-0.5"],
         ["gradcheck", "--n-points", "0"],
-    ], ids=["oversample", "k", "trials", "overfull", "nu", "sep_min", "n_points"])
-    def test_out_of_range_setting_is_usage_error(self, argv, capsys):
-        err = usage_error(argv, capsys)
+        # kernel widths and cut-offs: build_kernel's range rule, as a usage error
+        ["mc", "--c1", "60"],
+        ["mc", "--c2", "-1"],
+        ["mc", "--fc", "0"],
+        ["kernel", "--fc", "50", "--c", "80"],
+        ["kernel", "--fc", "1", "--c", "2.0"],
+        ["kernel", "--fc", "0", "--c", "1.5"],
+        ["kernel", "--fc", "50", "--c", "1.5", "--grid", "10"],
+        ["phase1", "--input", "EXAMPLE", "--fc", "50", "--c1", "60"],
+        ["solve", "--input", "EXAMPLE", "--fc", "50", "--c1", "60"],
+        ["solve", "--input", "EXAMPLE", "--fc", "50", "--c1", "1.5", "--c2", "90"],
+        ["gradcheck", "--c1", "60"],
+        ["gradcheck", "--c2", "80"],
+    ], ids=["oversample", "k", "trials", "overfull", "nu", "sep_min", "n_points",
+            "mc_c1", "mc_c2", "mc_fc", "kernel_c", "kernel_sigma", "kernel_fc", "kernel_grid",
+            "phase1_c1", "solve_c1", "solve_c2", "gradcheck_c1", "gradcheck_c2"])
+    def test_out_of_range_setting_is_usage_error(self, argv, example_csv, capsys):
+        err = usage_error([example_csv if a == "EXAMPLE" else a for a in argv], capsys)
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,message", [

@@ -167,7 +167,6 @@ def run_gradient_projection(tau0, kernel: SlepianKernel, zhat: Spectrum,
         status=status,
         iterations=iterations,
         centres=box.center,
-        active_set_final=eps_active_set(tau, box, 0.0),
     )
 
 
@@ -219,9 +218,19 @@ class TestBuildG:
         d = build_G(rho, kernel2)
         assert np.linalg.norm(np.eye(4) - (d.gh @ d.G).real, 2) < 1e-3
 
-    def test_duplicate_positions_degenerate(self, kernel2):
+    @pytest.mark.parametrize("shift", [0.0, 1.0], ids=["same", "plus_one"])
+    @pytest.mark.parametrize("k", [2, 3, 7, 14])
+    @pytest.mark.parametrize("f_c", [2, 50, 1000])
+    def test_duplicate_positions_degenerate(self, f_c, k, shift):
+        # The Gram's Cholesky test alone raises: an exact duplicate makes it
+        # singular, and so does one given as x + 1, which wraps to x or to
+        # within rounding of it.
+        rng = np.random.default_rng([f_c, k])
+        rho = rng.random(k)
+        i, j = rng.choice(k, 2, replace=False)
+        rho[j] = rho[i] + shift
         with pytest.raises(DegenerateDictionaryError):
-            build_G(np.array([0.5, 0.5]), kernel2)
+            build_G(rho, build_kernel(f_c, 2.25))
 
     def test_near_duplicate_positions_degenerate(self, kernel2):
         with pytest.raises(DegenerateDictionaryError):
@@ -468,7 +477,7 @@ class TestRunNewton:
         box = BoxConstraint(tau0, 0.005)
         report = run_newton(tau0, kernel2, zhat, box)
         assert report.tau_tilde[0] == pytest.approx(0.412, abs=1e-9)
-        assert list(report.active_set_final) == [0]
+        assert list(eps_active_set(report.tau_tilde, box, 0.0)) == [0]
 
     def test_max_iter_respected(self, kernel2, zhat_example):
         tau0 = wrap(TAU_EXAMPLE + 5e-4)

@@ -1,0 +1,145 @@
+"""Per-instance solver outcomes on the benchmark's input pools, and their diff.
+
+    python3 tools/outcomes.py --out new.csv
+    python3 tools/outcomes.py --workloads clean --seeds 1 2 --out new.csv --against old.csv
+
+Each instance of `make_pool` (bench/inputs.py) for the chosen entries of
+bench/run.py's WORKLOADS, with their settings, is solved as `superres solve`
+and `run_trial` do: find_peaks(max_peaks=K) -> solve_phase2. The first
+UNCAPPED instances of each pool also run an uncapped find_peaks. One CSV
+row per run gives the workload, seed, index, scan (`K` or `all`), status,
+Newton iterations, re-seeds, phase-1 iterations and a sha256 of the bytes of
+the picks, peak values, tau and beta. So two trees that write the same file
+made bit-identical outcomes.
+
+--against FILE prints every row that differs from FILE, then a count per
+status change, and exits 1 when any row differs. The library is imported
+from ../src, never from an installed copy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from run import THREAD_VARS, WORKLOADS  # noqa: E402
+
+# One BLAS thread, as in the benchmark, set before numpy is first imported.
+for var in THREAD_VARS:
+    os.environ[var] = "1"
+
+import numpy as np  # noqa: E402
+
+from inputs import make_pool  # noqa: E402
+from superres.experiments import cached_kernel  # noqa: E402
+from superres.peaks import PeakConfig, find_peaks  # noqa: E402
+from superres.refine import solve_phase2  # noqa: E402
+
+COLUMNS = ("workload", "seed", "index", "scan", "status", "newton_iterations", "reseeds",
+           "phase1_iterations", "sha256")
+KEY = COLUMNS[:4]
+UNCAPPED = 300
+
+
+def _sha(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def outcome(y, kernel1, kernel2, max_peaks) -> dict:
+    """The outcome columns of one solve (max_peaks set) or one uncapped scan."""
+    try:
+        peaks = find_peaks(y, kernel1, PeakConfig(max_peaks=max_peaks))
+    except ValueError:
+        return {"status": "error", "newton_iterations": "", "reseeds": "",
+                "phase1_iterations": "", "sha256": ""}
+    row = {"status": "", "newton_iterations": "", "reseeds": "",
+           "phase1_iterations": peaks.iterations}
+    arrays = [peaks.tau0, peaks.peak_values]
+    if max_peaks is not None:
+        if peaks.k_tilde == 0:
+            row["status"] = "no_peaks"
+        else:
+            try:
+                report = solve_phase2(y, peaks.tau0, kernel1, kernel2)
+            except ValueError:  # DegenerateDictionaryError is a ValueError
+                row["status"] = "error"
+            else:
+                row.update(status=report.status, newton_iterations=report.iterations,
+                           reseeds=report.reseeds)
+                arrays += [report.tau_tilde, report.beta]
+    row["sha256"] = _sha(arrays)
+    return row
+
+
+def run(workloads, seeds):
+    for name in workloads:
+        w = WORKLOADS[name]
+        kernel1, kernel2 = cached_kernel(w.f_c, w.c1), cached_kernel(w.f_c, w.c2)
+        for seed in seeds:
+            pool = make_pool(w.name, seed, w.pool, w.f_c, w.k, w.sep, w.nu)
+            for index, inst in enumerate(pool):
+                scans = [("K", w.k)] + ([("all", None)] if index < UNCAPPED else [])
+                for scan, max_peaks in scans:
+                    yield {"workload": name, "seed": seed, "index": index, "scan": scan,
+                           **outcome(inst.y, kernel1, kernel2, max_peaks)}
+
+
+def compare(rows: list[dict], path: str) -> int:
+    """Print the rows that differ from those in path, then the status changes."""
+    with open(path, newline="") as fh:
+        old = {tuple(r[c] for c in KEY): r for r in csv.DictReader(fh)}
+    changes: Counter = Counter()
+    differ = 0
+    for row in rows:
+        new = {c: str(row[c]) for c in COLUMNS}
+        before = old.pop(tuple(new[c] for c in KEY), None)
+        if before == new:
+            continue
+        differ += 1
+        print(f"{','.join(new[c] for c in KEY)}: {before} -> {new}")
+        changes[(before or {}).get("status", "absent"), new["status"]] += 1
+    for key in old:
+        differ += 1
+        print(f"{','.join(key)}: only in {path}")
+        changes[old[key]["status"], "absent"] += 1
+    print(f"{differ} of {len(rows)} rows differ")
+    for (a, b), n in sorted(changes.items()):
+        print(f"  {a or '-'} -> {b or '-'}: {n}")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    solvable = [name for name, w in WORKLOADS.items() if not w.sweep]
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--workloads", nargs="+", choices=solvable, default=solvable)
+    p.add_argument("--seeds", nargs="+", type=int, default=[1])
+    p.add_argument("--out", type=str, default=None, help="write the CSV here")
+    p.add_argument("--against", type=str, default=None, help="a CSV from an earlier run")
+    args = p.parse_args()
+
+    rows = list(run(args.workloads, args.seeds))
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    if args.against:
+        return compare(rows, args.against)
+    print(f"{len(rows)} rows; status counts: "
+          f"{dict(Counter(r['status'] for r in rows if r['scan'] == 'K'))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
