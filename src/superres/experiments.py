@@ -50,8 +50,7 @@ class ExperimentConfig:
             raise ConfigError("k must be >= 1")
         if self.sep_min < 0:
             raise ConfigError("sep_min must be >= 0")
-        if self.sep_min * self.k >= 1.0:
-            raise ConfigError("spikes do not fit on the circle at this separation")
+        check_fit(self.k, self.sep_min)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if any(nu < 0 for nu in self.nu_grid):
@@ -87,6 +86,13 @@ def checked_kernel(f_c: int, c: float, name: str) -> SlepianKernel:
         return cached_kernel(f_c, c)
     except ValueError as exc:
         raise ConfigError(f"{name} = {c:g} at f_c = {f_c}: {exc}") from exc
+
+
+def check_fit(k: int, sep_min: float) -> None:
+    """The rule `sample_positions` relies on: k gaps of at least sep_min fit on the
+    circle only if k sep_min < 1."""
+    if k * sep_min >= 1.0:
+        raise ConfigError(f"{k} spikes {sep_min:g} apart do not fit on the circle")
 
 
 def sample_positions(rng: np.random.Generator, k: int, sep_min: float) -> np.ndarray:
@@ -225,6 +231,8 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
         raise ConfigError("n_points must be >= 1")
     sigma1 = checked_kernel(f_c, c1, "c1").sigma
     kernel2 = checked_kernel(f_c, c2, "c2")
+    sep = 4.0 * sigma1
+    check_fit(max(GRADCHECK_K), sep)
     rng = np.random.Generator(np.random.Philox(seed))
     h = 1e-7 * kernel2.sigma
 
@@ -233,7 +241,7 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
     degenerate = 0
     for point in range(n_points):
         k = GRADCHECK_K[point % len(GRADCHECK_K)]
-        positions = sample_positions(rng, k, 4.0 * sigma1)
+        positions = sample_positions(rng, k, sep)
         amplitudes = rng.uniform(1.0, 10.0, k) * rng.choice([-1.0, 1.0], k)
         tau0 = wrap(positions + rng.uniform(-sigma1 / 2, sigma1 / 2, k))
         rho = wrap(tau0 + rng.uniform(-0.9 * sigma1, 0.9 * sigma1, k))

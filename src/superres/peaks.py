@@ -73,8 +73,8 @@ def _polish(zb: np.ndarray, t: np.ndarray, half_width: float) -> tuple[np.ndarra
 
     zb is `_derivative_blocks(z)`. A point stops where sign(z) z'' >= 0, since |z|
     is not concave there. Each step evaluates every point in one `block_sum` call,
-    whose per-point bits do not depend on the batch: a stopped point is evaluated
-    at the same t again, so it stays stopped and keeps its value.
+    whose per-point bits do not depend on the batch: a stopped point takes a zero
+    step, so it is evaluated at the same t again, stays stopped and keeps its value.
     """
     t = np.array(t, dtype=float)
     lo, hi = t - half_width, t + half_width
@@ -85,7 +85,7 @@ def _polish(zb: np.ndarray, t: np.ndarray, half_width: float) -> tuple[np.ndarra
         go = np.sign(f0) * f2 < 0.0
         if not go.any():
             break
-        t[go] = np.clip(t[go] - f1[go] / f2[go], lo[go], hi[go])
+        t = np.clip(t - np.divide(f1, f2, out=np.zeros_like(f1), where=go), lo, hi)
     t %= 1.0
     return t, np.abs(f0)
 
@@ -97,7 +97,10 @@ def _near(points: list[float], t: float, radius: float, reach: float) -> list[in
     c = t % 1.0
     near = []
     for a0, a1 in ((-1.0 - reach, -1.0 + reach), (-reach, reach), (1.0 - reach, 1.0 + reach)):
-        for k in range(bisect_left(points, c + a0), bisect_left(points, c + a1)):
+        lo, hi = c + a0, c + a1
+        if hi <= 0.0 or lo >= 1.0:  # the arc holds no point of [0, 1)
+            continue
+        for k in range(bisect_left(points, lo), bisect_left(points, hi)):
             d = abs(points[k] - t) % 1.0
             if min(d, 1.0 - d) <= radius:
                 near.append(k)

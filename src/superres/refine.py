@@ -3,20 +3,29 @@
 The objective F(rho) = ||(I - P_rho) zhat||^2 measures how much of the
 filtered measurement cannot be explained by kernels placed at rho, with
 amplitudes eliminated by least squares (a variable-projection objective).
-One evaluation at rho builds the dictionary G and its Gram Cholesky factor,
+One evaluation at rho builds the dictionary and its Gram Cholesky factor,
 solves for the amplitudes beta and forms the residual r = zhat - G beta.
 That record is all that F, its gradient and its Hessian read, so the Newton
 loop evaluates each point it visits once, and an accepted line-search
 candidate's record becomes the next iterate's state.
 
 The derivatives are evaluated in the frequency domain. Every inner product
-there is a Hermitian sum, so G holds only the rows l >= 0 and each product is
-the real part of a sum weighted by `spectral.half_band`. Its phasors come from
-`spectral.phasors`.
+there is a Hermitian sum, so only the rows l >= 0 are kept, each weighted by
+the square root of its `spectral.half_band` weight w_l, and each product is a
+real one over the interleaved real and imaginary parts. A solve fixes
+sqrt(w) ghat2, 2 pi i l and sqrt(w) zhat once (`_Problem`). At each point
+`build_G` stacks the atoms sqrt(w) G^T and their derivatives
+sqrt(w) (2 pi i l) G^T, with phasors from `spectral.phasors`, into one
+2K x (f_C + 1) matrix Y. With V its real view, the one product Q = V V^T holds
+the Gram matrix, G* (2 pi i l) G and -G* (2 pi i l)^2 G as its blocks, and one
+product of V's lower half with the residual and its derivative gives the two
+vectors the gradient and the Hessian read. The amplitudes' right-hand side,
+r and F are direct sums over the band.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,12 +55,40 @@ class DegenerateDictionaryError(ValueError):
 
 
 @dataclass(frozen=True)
-class DictionaryMatrix:
-    """Kernel coefficients modulated to candidate positions, with Gram factor."""
+class _Problem:
+    """A phase-2 solve's fixed data on the half band l = 0 .. f_C. Rows are weighted by
+    sqrt(w_l) (`spectral.half_band`), so Re sum_{l >= 0} of the product of two rows,
+    one of them conjugated, is their full-band sum."""
 
-    G: np.ndarray  # (f_C + 1) x K complex, rows l = 0 .. f_C
-    gh: np.ndarray  # K x (f_C + 1), the weighted adjoint: Re(gh @ x) is G* x over the full band
-    gram_chol: np.ndarray  # lower-triangular Cholesky factor of the Gram matrix Re(gh @ G) = G* G
+    f_c: int
+    ghat: np.ndarray  # sqrt(w_l) ghat2[l], complex so that products with phasors need no cast
+    ls: np.ndarray  # 2 pi i l
+    z: np.ndarray  # sqrt(w_l) zhat[l] as interleaved real and imaginary parts, or empty
+
+
+def _real_view(zhat: Spectrum) -> np.ndarray:
+    """sqrt(w_l) zhat[l], l >= 0, as interleaved real and imaginary parts."""
+    if not zhat.real_signal:
+        raise ValueError("phase 2 requires a real_signal spectrum")
+    return (np.sqrt(half_band(zhat.f_c)[1]) * zhat.coeffs[zhat.f_c:]).view(float)
+
+
+def _problem(kernel: SlepianKernel, zhat: Spectrum | None = None) -> _Problem:
+    """The problem at kernel 2 and, if given, the filtered measurement zhat."""
+    ls, weights = half_band(kernel.f_c)
+    return _Problem(f_c=kernel.f_c,
+                    ghat=(np.sqrt(weights) * kernel.ghat[kernel.f_c:]).astype(complex),
+                    ls=2j * np.pi * ls, z=np.empty(0) if zhat is None else _real_view(zhat))
+
+
+@dataclass(frozen=True)
+class DictionaryMatrix:
+    """Kernel coefficients modulated to candidate positions, their derivatives, the
+    products of all of them and the Gram factor."""
+
+    V: np.ndarray  # 2K x 2(f_C + 1): real view of Y = [sqrt(w) G^T; sqrt(w) (2 pi i l) G^T]
+    Q: np.ndarray  # V V^T: the Gram matrix, G* (2 pi i l) G and -G* (2 pi i l)^2 G as blocks
+    gram_chol: np.ndarray  # lower-triangular Cholesky factor of the Gram matrix Q[:K, :K]
 
 
 @dataclass(frozen=True)
@@ -87,23 +124,33 @@ class SolveReport:
     reseeds: int = 0  # prune-and-re-seed rounds before this run (`solve_phase2`)
 
 
-def build_G(rho, kernel: SlepianKernel) -> DictionaryMatrix:
-    """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} (l >= 0) and its Gram factor."""
-    G = kernel.ghat[kernel.f_c:, None] * phasors(kernel.f_c, -positions(rho))
-    gh = (half_band(kernel.f_c)[1][:, None] * G).conj().T
-    chol, info = dpotrf((gh @ G).real, lower=1, clean=1)
+def build_G(rho, kernel: SlepianKernel | _Problem) -> DictionaryMatrix:
+    """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} (l >= 0), stacked
+    with its derivatives and weighted as Y, with the products Q = V V^T of its real
+    view V and the Gram factor. kernel is kernel 2 or a solve's `_Problem` at it."""
+    prob = kernel if isinstance(kernel, _Problem) else _problem(kernel)
+    e = phasors(prob.f_c, -positions(rho))
+    k = e.shape[1]
+    y = np.empty((2 * k, prob.f_c + 1), dtype=complex)
+    np.multiply(e.T, prob.ghat, out=y[:k])
+    np.multiply(y[:k], prob.ls, out=y[k:])
+    v = y.view(float)
+    q = v @ v.T
+    chol, info = dpotrf(q[:k, :k], lower=1, clean=1)
     # Exact duplicates make the Gram singular; near-duplicates leave it numerically
     # PD but useless.
-    if info > 0 or np.diag(chol).min() < 1e-3:
+    if info > 0 or chol.diagonal().min() < 1e-3:
         raise DegenerateDictionaryError("degenerate dictionary")
-    return DictionaryMatrix(G=G, gh=gh, gram_chol=chol)
+    return DictionaryMatrix(V=v, Q=q, gram_chol=chol)
+
+
+def _beta(d: DictionaryMatrix, z: np.ndarray) -> np.ndarray:
+    return dpotrs(d.gram_chol, d.V[: d.gram_chol.shape[0]] @ z, lower=1)[0]
 
 
 def least_squares_beta(d: DictionaryMatrix, zhat: Spectrum) -> np.ndarray:
     """Amplitudes minimizing ||G beta - zhat||^2, via the Gram Cholesky factor."""
-    if not zhat.real_signal:
-        raise ValueError("least_squares_beta requires a real_signal spectrum")
-    return dpotrs(d.gram_chol, (d.gh @ zhat.coeffs[zhat.f_c:]).real, lower=1)[0]
+    return _beta(d, _real_view(zhat))
 
 
 @dataclass(frozen=True)
@@ -112,63 +159,57 @@ class _Point:
 
     d: DictionaryMatrix
     beta: np.ndarray
-    r: np.ndarray  # residual zhat - G beta, l >= 0
+    r: np.ndarray  # sqrt(w) (zhat - G beta), l >= 0, as interleaved real and imaginary parts
     f: float
 
 
-def _evaluate(rho, kernel: SlepianKernel, zhat: Spectrum) -> _Point:
-    d = build_G(rho, kernel)
-    beta = least_squares_beta(d, zhat)
-    r = zhat.coeffs[zhat.f_c:] - d.G @ beta
-    _, weights = half_band(kernel.f_c)
-    return _Point(d=d, beta=beta, r=r, f=float(weights @ (r.real**2 + r.imag**2)))
+def _evaluate(prob: _Problem, rho) -> _Point:
+    d = build_G(rho, prob)
+    beta = _beta(d, prob.z)
+    r = prob.z - beta @ d.V[: beta.size]
+    return _Point(d=d, beta=beta, r=r, f=float(r @ r))
 
 
-def _ls(kernel: SlepianKernel) -> np.ndarray:
-    """Weights 2 pi i l: d/drho_i of column i of G is -2 pi i l times that column."""
-    return 2j * np.pi * half_band(kernel.f_c)[0]
+def _gradient(prob: _Problem, p: _Point) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient and w, the product of V's lower half with r and with 2 pi i l r: its
+    rows are -Re G* (2 pi i l) r and -Re G* (2 pi i l)^2 r, which the Hessian reuses."""
+    rl = (prob.ls * p.r.view(complex)).view(float)
+    w = np.concatenate((p.r, rl)).reshape(2, -1) @ p.d.V[p.beta.size:].T
+    return 2.0 * p.beta * w[0], w
 
 
-def _gradient(p: _Point, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient and w = Re G^H (2 pi i l r), which the Hessian reuses."""
-    w = (p.d.gh @ (ls * p.r)).real
-    return -2.0 * p.beta * w, w
-
-
-def _hessian(p: _Point, ls: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Four-term analytic Hessian of the reduced objective, symmetrized."""
-    d = p.d
-    glg = (d.gh @ (ls[:, None] * d.G)).real
-    gl2g = (d.gh @ (ls[:, None] ** 2 * d.G)).real
-    w2 = (d.gh @ (ls**2 * p.r)).real
-
-    b = p.beta
-    h = -2.0 * b[:, None] * gl2g * b
-    h.flat[:: b.size + 1] += -2.0 * b * w2
-    bracket = b[:, None] * glg
-    bracket.flat[:: b.size + 1] -= w
-    h += -2.0 * bracket @ dpotrs(d.gram_chol, bracket.T, lower=1)[0]
+def _hessian(p: _Point, w: np.ndarray) -> np.ndarray:
+    """Four-term analytic Hessian of the reduced objective, symmetrized: h holds half
+    of each term, so the symmetrized Hessian is h + h^T."""
+    b, q = p.beta, p.d.Q
+    k = b.size
+    h = b[:, None] * q[k:, k:] * b
+    h.flat[:: k + 1] += b * w[1]
+    bracket = b[:, None] * q[:k, k:]
+    bracket.flat[:: k + 1] += w[0]
+    h -= bracket @ dpotrs(p.d.gram_chol, bracket.T, lower=1)[0]
 
     asym = np.abs(h - h.T).max()
     scale = max(np.abs(h).max(), 1e-300)
     if asym > HESS_ASYM_RTOL * scale:
         raise ValueError("Hessian asymmetry residue exceeds tolerance")
-    return 0.5 * (h + h.T)
+    return h + h.T
 
 
 def objective_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> float:
     """Residual energy after least-squares elimination of the amplitudes."""
-    return _evaluate(rho, kernel, zhat).f
+    return _evaluate(_problem(kernel, zhat), rho).f
 
 
 def gradient_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
-    return _gradient(_evaluate(rho, kernel, zhat), _ls(kernel))[0]
+    prob = _problem(kernel, zhat)
+    return _gradient(prob, _evaluate(prob, rho))[0]
 
 
 def hessian_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
-    p = _evaluate(rho, kernel, zhat)
-    ls = _ls(kernel)
-    return _hessian(p, ls, _gradient(p, ls)[1])
+    prob = _problem(kernel, zhat)
+    p = _evaluate(prob, rho)
+    return _hessian(p, _gradient(prob, p)[1])
 
 
 def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
@@ -200,40 +241,44 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         raise ValueError("infeasible point")
     eta_stop = 1e-12 * np.sqrt(u.size)
     eps = r / 2.0
-    ls = _ls(kernel)
+    prob = _problem(kernel, zhat)
 
-    p = _evaluate(box.center + u, kernel, zhat)
+    p = _evaluate(prob, box.center + u)
     f_trace = [p.f]
     status = STATUS_MAX_ITER
     iterations = 0
     for _ in range(cfg.max_iter):
         iterations += 1
-        grad, w = _gradient(p, ls)
-        hess = _hessian(p, ls, w)
+        grad, w = _gradient(prob, p)
+        hess = _hessian(p, w)
         diag = hess.diagonal()
         v = grad / np.where(diag > 0.0, diag, 1.0)
         free = np.abs(u) < r - eps
         if free.any():  # LAPACK rejects the empty block; then v is the diagonal step
-            chol, info = dpotrf(hess[free][:, free], lower=1, clean=1)
+            block = hess if free.all() else hess[np.ix_(free, free)]
+            chol, info = dpotrf(block, lower=1, clean=1)
             if info > 0:
                 status = STATUS_HESSIAN_NOT_PD
                 break
             v[free] = dpotrs(chol, grad[free], lower=1)[0]
 
-        u_full = np.clip(u - v, -r, r)
-        step_norm = float(np.linalg.norm(u_full - u))
-        if step_norm <= eta_stop or grad @ (u - u_full) <= PRED_RTOL * p.f:
+        cand = np.minimum(np.maximum(u - v, -r), r)  # the projected full step
+        step = u - cand
+        step_norm = math.sqrt(step @ step)
+        if step_norm <= eta_stop or grad @ step <= PRED_RTOL * p.f:
             status = STATUS_CONVERGED
             break
         eps = min(step_norm, r)
 
+        rho_u = box.center + u
         for m in range(MAX_BACKTRACKS + 1):
             lam = 2.0**-m
-            cand = np.clip(u - lam * v, -r, r)
+            if m:
+                cand = np.minimum(np.maximum(u - lam * v, -r), r)
             rho = box.center + cand
-            if np.array_equal(rho, box.center + u):  # rounds to the iterate: F is unchanged
+            if (rho == rho_u).all():  # rounds to the iterate: F is unchanged
                 continue
-            q = _evaluate(rho, kernel, zhat)
+            q = _evaluate(prob, rho)
             if q.f - p.f <= -ARMIJO_CONST * grad @ np.where(free, lam * v, u - cand):
                 break
         else:
@@ -246,7 +291,7 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         tau_tilde=wrap(box.center + u),
         beta=p.beta,
         f_trace=np.asarray(f_trace),
-        grad_norm_final=float(np.linalg.norm(_gradient(p, ls)[0])),
+        grad_norm_final=float(np.linalg.norm(_gradient(prob, p)[0])),
         status=status,
         iterations=iterations,
         centres=box.center,

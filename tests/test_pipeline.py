@@ -263,6 +263,13 @@ class TestGradcheck:
         with pytest.raises(ConfigError, match="n_points"):
             gradcheck(n_points=0)
 
+    @pytest.mark.parametrize("c1", [10.0, 1.0 / 28 * 101], ids=["c1_10", "exactly_full"])
+    def test_spikes_that_do_not_fit_rejected(self, c1):
+        # gradcheck draws up to max(GRADCHECK_K) = 7 spikes 4 sigma1 apart:
+        # at 7 * 4 sigma1 >= 1 the sampler's gaps would be negative.
+        with pytest.raises(ConfigError, match="do not fit"):
+            gradcheck(c1=c1, n_points=3)
+
 
 class TestCli:
     @pytest.fixture()
@@ -420,9 +427,11 @@ class TestCli:
         ["solve", "--input", "EXAMPLE", "--fc", "50", "--c1", "1.5", "--c2", "90"],
         ["gradcheck", "--c1", "60"],
         ["gradcheck", "--c2", "80"],
+        ["gradcheck", "--c1", "10", "--n-points", "3"],  # 7 spikes 4 sigma1 apart overfill
     ], ids=["oversample", "k", "trials", "overfull", "nu", "sep_min", "n_points",
             "mc_c1", "mc_c2", "mc_fc", "kernel_c", "kernel_sigma", "kernel_fc", "kernel_grid",
-            "phase1_c1", "solve_c1", "solve_c2", "gradcheck_c1", "gradcheck_c2"])
+            "phase1_c1", "solve_c1", "solve_c2", "gradcheck_c1", "gradcheck_c2",
+            "gradcheck_overfull"])
     def test_out_of_range_setting_is_usage_error(self, argv, example_csv, capsys):
         err = usage_error([example_csv if a == "EXAMPLE" else a for a in argv], capsys)
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -85,16 +85,25 @@ def full_band_reference(rho, kernel: SlepianKernel, zhat: Spectrum) -> dict:
     ls = 2j * np.pi * ells(kernel.f_c)
     z = zhat.coeffs
     gram = gh @ G
+    glg = gh @ (ls[:, None] * G)
+    gl2g = gh @ (ls[:, None] ** 2 * G)
     beta = np.linalg.solve(gram, gh @ z)
     r = z - G @ beta
     w = gh @ (ls * r)
+    w2 = gh @ (ls**2 * r)
     db = np.diag(beta)
-    bracket = db @ (gh @ (ls[:, None] * G)) - np.diag(w)
-    hess = (-2.0 * db @ (gh @ (ls[:, None] ** 2 * G)) @ db
-            - 2.0 * db @ np.diag(gh @ (ls**2 * r))
+    bracket = db @ glg - np.diag(w)
+    hess = (-2.0 * db @ gl2g @ db
+            - 2.0 * db @ np.diag(w2)
             - 2.0 * bracket @ np.linalg.solve(gram, bracket.T))
-    return {"gram": gram, "beta": beta, "F": np.vdot(r, r), "grad": -2.0 * beta * w,
-            "hess": 0.5 * (hess + hess.T)}
+    return {"gram": gram, "glg": glg, "gl2g": gl2g, "w": w, "w2": w2, "beta": beta,
+            "F": np.vdot(r, r), "grad": -2.0 * beta * w, "hess": 0.5 * (hess + hess.T),
+            "r": r, "lr": ls * r}
+
+
+def gram(d) -> np.ndarray:
+    k = d.gram_chol.shape[0]
+    return d.Q[:k, :k]
 
 
 def eps_active_set(rho, box: BoxConstraint, eps: float) -> np.ndarray:
@@ -193,9 +202,8 @@ def stationarity_residual(rho, kernel: SlepianKernel, zhat: Spectrum,
 class TestBuildG:
     def test_gram_identity_at_origin(self, kernel2):
         d = build_G(np.array([0.3]), kernel2)
-        gram = (d.gh @ d.G).real
-        assert gram.shape == (1, 1)
-        assert gram[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert gram(d).shape == (1, 1)
+        assert gram(d)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gram_entries_by_quadrature(self, kernel2):
         # Gram entry (i, j) equals the time-domain inner product of the
@@ -211,12 +219,12 @@ class TestBuildG:
             )
 
         expected, _ = fixed_quad(product, 0.0, 1.0, n=400)
-        assert (d.gh @ d.G).real[0, 1] == pytest.approx(expected, abs=1e-9)
+        assert gram(d)[0, 1] == pytest.approx(expected, abs=1e-9)
 
     def test_gram_nearly_orthonormal_when_separated(self, kernel2):
         rho = np.array([0.1, 0.3, 0.52, 0.78])
         d = build_G(rho, kernel2)
-        assert np.linalg.norm(np.eye(4) - (d.gh @ d.G).real, 2) < 1e-3
+        assert np.linalg.norm(np.eye(4) - gram(d), 2) < 1e-3
 
     @pytest.mark.parametrize("shift", [0.0, 1.0], ids=["same", "plus_one"])
     @pytest.mark.parametrize("k", [2, 3, 7, 14])
@@ -244,7 +252,7 @@ class TestBuildG:
     def test_wraps_positions(self, kernel2):
         a = build_G(np.array([0.25, 1.75]), kernel2)
         b = build_G(np.array([0.25, 0.75]), kernel2)
-        assert np.allclose(a.G, b.G)
+        assert np.allclose(a.V, b.V)
 
 
 class TestLeastSquares:
@@ -341,25 +349,57 @@ class TestDerivatives:
 
 
 class TestFullBandOracle:
-    @pytest.mark.parametrize("f_c", [50, 1000])
-    def test_half_band_matches_complex_full_band(self, f_c):
+    @pytest.fixture(params=[50, 1000], scope="class")
+    def cases(self, request):
+        """(kernel, zhat, rho) at K = 1, 3, 7: noisy spikes, positions off by up to sigma1 / 2."""
+        f_c = request.param
         kernel = build_kernel(f_c, 2.25)
         sigma1 = 1.5 / (2 * f_c + 1)
         rng = np.random.Generator(np.random.Philox(f_c))
+        out = []
         for k in (1, 3, 7):
             tau = sample_positions(rng, k, 4.0 * sigma1)
             alpha = rng.uniform(1.0, 10.0, k) * rng.choice([-1.0, 1.0], k)
             y = add(spike_fourier(SpikeTrain(tau, alpha), f_c), synth_noise(f_c, 0.1, k))
             zhat = pointwise_mul(y, kernel.spectrum())
-            rho = wrap(tau + rng.uniform(-0.5, 0.5, k) * sigma1)
+            out.append((kernel, zhat, wrap(tau + rng.uniform(-0.5, 0.5, k) * sigma1)))
+        return out
+
+    def test_half_band_matches_complex_full_band(self, cases):
+        for kernel, zhat, rho in cases:
             d = build_G(rho, kernel)
-            got = {"gram": (d.gh @ d.G).real, "beta": least_squares_beta(d, zhat),
+            got = {"gram": gram(d), "beta": least_squares_beta(d, zhat),
                    "F": objective_F(rho, kernel, zhat), "grad": gradient_F(rho, kernel, zhat),
                    "hess": hessian_F(rho, kernel, zhat)}
-            for name, ref in full_band_reference(rho, kernel, zhat).items():
-                scale = np.abs(ref).max()
-                assert np.abs(np.imag(ref)).max() <= 1e-12 * scale, name
-                assert np.abs(got[name] - np.real(ref)).max() <= 1e-12 * scale, name
+            ref = full_band_reference(rho, kernel, zhat)
+            for name in got:
+                scale = np.abs(ref[name]).max()
+                assert np.abs(np.imag(ref[name])).max() <= 1e-12 * scale, name
+                assert np.abs(got[name] - np.real(ref[name])).max() <= 1e-12 * scale, name
+
+    def test_stacked_blocks_match_complex_full_band(self, cases):
+        # The blocks of Q = V V^T and the product w of V's lower half with
+        # [r, 2 pi i l r], each against its own full-band sum. An entry of a
+        # product of two stacks is bounded by the product of their norms
+        # (Cauchy-Schwarz), so that bound is the scale: glg's diagonal is 0.
+        for kernel, zhat, rho in cases:
+            prob = superres.refine._problem(kernel, zhat)
+            point = superres.refine._evaluate(prob, rho)
+            w = superres.refine._gradient(prob, point)[1]
+            q, k = point.d.Q, rho.size
+            got = {"gram": q[:k, :k], "glg": q[:k, k:], "gl2g": -q[k:, k:],
+                   "w": -w[0], "w2": -w[1]}
+            ref = full_band_reference(rho, kernel, zhat)
+            norm0 = np.sqrt(np.diag(ref["gram"]).real)  # ||G_i||
+            norm1 = np.sqrt(-np.diag(ref["gl2g"]).real)  # ||2 pi l G_i||
+            scales = {"gram": np.outer(norm0, norm0), "glg": np.outer(norm0, norm1),
+                      "gl2g": np.outer(norm1, norm1), "w": norm1 * np.linalg.norm(ref["r"]),
+                      "w2": norm1 * np.linalg.norm(ref["lr"])}
+            for name, value in got.items():
+                tol = 1e-12 * scales[name]
+                assert value.shape == ref[name].shape, name
+                assert np.all(np.abs(np.imag(ref[name])) <= tol), name
+                assert np.all(np.abs(value - np.real(ref[name])) <= tol), name
 
 
 class TestActiveSet:
@@ -506,8 +546,8 @@ class TestRunNewton:
         evaluate = superres.refine._evaluate
         points = []
 
-        def recorded(rho, kernel, z):
-            p = evaluate(rho, kernel, z)
+        def recorded(prob, rho):
+            p = evaluate(prob, rho)
             points.append((wrap_signed(rho, box.center)[0], p.f))
             return p
 
@@ -560,12 +600,12 @@ class TestRunNewton:
         tau0 = np.array([0.5])
         box = BoxConstraint(tau0, SIGMA1)
         evaluate = superres.refine._evaluate
-        f0 = evaluate(tau0, kernel2, zhat).f
+        f0 = objective_F(tau0, kernel2, zhat)
         points = []
 
-        def flat(rho, kernel, z):
+        def flat(prob, rho):
             points.append(np.array(rho))
-            p = evaluate(rho, kernel, z)
+            p = evaluate(prob, rho)
             return replace(p, f=max(p.f, f0))
 
         monkeypatch.setattr(superres.refine, "_evaluate", flat)
@@ -585,9 +625,9 @@ class TestRunNewton:
         evaluate = superres.refine._evaluate
         points = []
 
-        def recorded(rho, kernel, z):
+        def recorded(prob, rho):
             points.append(np.array(rho))
-            return evaluate(rho, kernel, z)
+            return evaluate(prob, rho)
 
         monkeypatch.setattr(superres.refine, "_evaluate", recorded)
         report = run_newton(tau0, kernel2, zhat, box)
@@ -600,14 +640,67 @@ class TestRunNewton:
         assert report.status == STATUS_CONVERGED
         assert np.abs(report.tau_tilde - [0.3, 0.6]).max() < 1e-10
 
+    @pytest.mark.parametrize("centre,u", [(0.6015, -0.001), (0.6075, -0.008)],
+                             ids=["all_free", "mixed"])
+    def test_free_block_step(self, kernel2, monkeypatch, centre, u):
+        # All free at eps = r / 2: the step is the Cholesky solve of the whole
+        # Hessian. One start on a face: the free coordinates take the Cholesky
+        # solve of their block, the other the diagonally scaled gradient. The
+        # first trial point is that full step clipped to the box, bit for bit.
+        zhat = filtered_spikes(kernel2, [0.3, 0.6], [2.0, -1.0])
+        box = BoxConstraint(np.array([0.2985, centre]), 0.008)
+        tau0 = box.center + np.array([0.001, u])
+        u = wrap_signed(tau0, box.center)
+        evaluate = superres.refine._evaluate
+        points = []
+
+        def recorded(prob, rho):
+            points.append(np.array(rho))
+            return evaluate(prob, rho)
+
+        monkeypatch.setattr(superres.refine, "_evaluate", recorded)
+        report = run_newton(tau0, kernel2, zhat, box)
+        hess = hessian_F(box.center + u, kernel2, zhat)
+        grad = gradient_F(box.center + u, kernel2, zhat)
+        free = np.abs(u) < box.radius / 2
+        v = grad / hess.diagonal()
+        chol, info = scipy.linalg.lapack.dpotrf(hess[np.ix_(free, free)], lower=1, clean=1)
+        assert info == 0 and np.all(hess.diagonal() > 0.0)
+        v[free] = scipy.linalg.lapack.dpotrs(chol, grad[free], lower=1)[0]
+        assert np.array_equal(points[1], box.center + np.clip(u - v, -box.radius, box.radius))
+        assert report.status == STATUS_CONVERGED
+        assert np.abs(report.tau_tilde - [0.3, 0.6]).max() < 1e-10
+
     def test_indefinite_free_block_is_hessian_not_pd(self, kernel2, zhat_example, monkeypatch):
         # 2 J - I has a positive diagonal and the eigenvalue -1: only the
         # factor of the free block can tell that it is not positive definite.
         tau0 = wrap(TAU_EXAMPLE + 5e-4)
         monkeypatch.setattr(superres.refine, "_hessian",
-                            lambda p, ls, w: 2.0 * np.ones((p.beta.size,) * 2) - np.eye(p.beta.size))
+                            lambda p, w: 2.0 * np.ones((p.beta.size,) * 2) - np.eye(p.beta.size))
         report = run_newton(tau0, kernel2, zhat_example, BoxConstraint(tau0, SIGMA1))
         assert report.status == STATUS_HESSIAN_NOT_PD
+        assert report.iterations == 1 and report.f_trace.size == 1
+        assert np.array_equal(report.tau_tilde, tau0)
+
+    def test_indefinite_free_block_at_a_face_is_hessian_not_pd(self, kernel2, zhat_example,
+                                                               monkeypatch):
+        # The first coordinate starts near its face, so the free block is the
+        # other six: 2 J - I of size 6, again with the eigenvalue -1.
+        centre = wrap(TAU_EXAMPLE + 5e-4)
+        tau0 = centre.copy()
+        tau0[0] = wrap(centre[0] + 0.9 * SIGMA1)
+        monkeypatch.setattr(superres.refine, "_hessian",
+                            lambda p, w: 2.0 * np.ones((p.beta.size,) * 2) - np.eye(p.beta.size))
+        factored = []
+
+        def recorded(a, **kwargs):
+            factored.append(a.shape)
+            return scipy.linalg.lapack.dpotrf(a, **kwargs)
+
+        monkeypatch.setattr(superres.refine, "dpotrf", recorded)
+        report = run_newton(tau0, kernel2, zhat_example, BoxConstraint(centre, SIGMA1))
+        assert report.status == STATUS_HESSIAN_NOT_PD
+        assert factored[-1] == (6, 6)
         assert report.iterations == 1 and report.f_trace.size == 1
         assert np.array_equal(report.tau_tilde, tau0)
 

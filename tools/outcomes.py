@@ -8,13 +8,15 @@ bench/run.py's WORKLOADS, with their settings, is solved as `superres solve`
 and `run_trial` do: find_peaks(max_peaks=K) -> solve_phase2. The first
 UNCAPPED instances of each pool also run an uncapped find_peaks. One CSV
 row per run gives the workload, seed, index, scan (`K` or `all`), status,
-Newton iterations, re-seeds, phase-1 iterations and a sha256 of the bytes of
-the picks, peak values, tau and beta. So two trees that write the same file
-made bit-identical outcomes.
+Newton iterations, re-seeds, phase-1 iterations, a sha256 of the bytes of
+the picks and peak values (`phase1_sha256`) and one of tau and beta
+(`phase2_sha256`). So two trees that write the same file made bit-identical
+outcomes, and a change that moves only phase 2's rounding shows in the last
+column alone.
 
---against FILE prints every row that differs from FILE, then a count per
-status change, and exits 1 when any row differs. The library is imported
-from ../src, never from an installed copy.
+--against FILE prints every row that differs from FILE, then how many rows
+differ in each column and a count per change of status, and exits 1 when any
+row differs. The library is imported from ../src, never from an installed copy.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from superres.peaks import PeakConfig, find_peaks  # noqa: E402
 from superres.refine import solve_phase2  # noqa: E402
 
 COLUMNS = ("workload", "seed", "index", "scan", "status", "newton_iterations", "reseeds",
-           "phase1_iterations", "sha256")
+           "phase1_iterations", "phase1_sha256", "phase2_sha256")
 KEY = COLUMNS[:4]
 UNCAPPED = 300
 
@@ -62,10 +64,10 @@ def outcome(y, kernel1, kernel2, max_peaks) -> dict:
         peaks = find_peaks(y, kernel1, PeakConfig(max_peaks=max_peaks))
     except ValueError:
         return {"status": "error", "newton_iterations": "", "reseeds": "",
-                "phase1_iterations": "", "sha256": ""}
+                "phase1_iterations": "", "phase1_sha256": "", "phase2_sha256": ""}
     row = {"status": "", "newton_iterations": "", "reseeds": "",
-           "phase1_iterations": peaks.iterations}
-    arrays = [peaks.tau0, peaks.peak_values]
+           "phase1_iterations": peaks.iterations,
+           "phase1_sha256": _sha([peaks.tau0, peaks.peak_values]), "phase2_sha256": ""}
     if max_peaks is not None:
         if peaks.k_tilde == 0:
             row["status"] = "no_peaks"
@@ -76,9 +78,8 @@ def outcome(y, kernel1, kernel2, max_peaks) -> dict:
                 row["status"] = "error"
             else:
                 row.update(status=report.status, newton_iterations=report.iterations,
-                           reseeds=report.reseeds)
-                arrays += [report.tau_tilde, report.beta]
-    row["sha256"] = _sha(arrays)
+                           reseeds=report.reseeds,
+                           phase2_sha256=_sha([report.tau_tilde, report.beta]))
     return row
 
 
@@ -96,10 +97,12 @@ def run(workloads, seeds):
 
 
 def compare(rows: list[dict], path: str) -> int:
-    """Print the rows that differ from those in path, then the status changes."""
+    """Print the rows that differ from those in path, then how many differ in each
+    column and the changes of status."""
     with open(path, newline="") as fh:
         old = {tuple(r[c] for c in KEY): r for r in csv.DictReader(fh)}
     changes: Counter = Counter()
+    columns: Counter = Counter()
     differ = 0
     for row in rows:
         new = {c: str(row[c]) for c in COLUMNS}
@@ -108,12 +111,18 @@ def compare(rows: list[dict], path: str) -> int:
             continue
         differ += 1
         print(f"{','.join(new[c] for c in KEY)}: {before} -> {new}")
-        changes[(before or {}).get("status", "absent"), new["status"]] += 1
+        columns.update(c for c in COLUMNS[len(KEY):] if before is None or before.get(c) != new[c])
+        if before is None or before["status"] != new["status"]:
+            changes[(before or {}).get("status", "absent"), new["status"]] += 1
     for key in old:
         differ += 1
         print(f"{','.join(key)}: only in {path}")
+        columns.update(COLUMNS[len(KEY):])
         changes[old[key]["status"], "absent"] += 1
     print(f"{differ} of {len(rows)} rows differ")
+    for c in COLUMNS[len(KEY):]:
+        print(f"  {c}: {columns[c]}")
+    print("status changes:")
     for (a, b), n in sorted(changes.items()):
         print(f"  {a or '-'} -> {b or '-'}: {n}")
     return 1 if differ else 0
