@@ -131,10 +131,6 @@ def _cmd_solve(args) -> int:
     kernel1 = checked_kernel(args.fc, args.c1, "--c1")
     kernel2 = checked_kernel(args.fc, c2, "--c2")
     peaks = find_peaks(y, kernel1, cfg)
-    if peaks.k_tilde == 0:
-        print(json.dumps({"k_tilde": 0, "positions": [], "amplitudes": [],
-                          "status": "no_peaks", "reseeds": 0, "f_trace": []}))
-        return EXIT_NUMERICAL
     report = solve_phase2(y, peaks.tau0, kernel1, kernel2)
     print(json.dumps({
         "k_tilde": peaks.k_tilde,

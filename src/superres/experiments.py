@@ -55,6 +55,7 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if any(nu < 0 for nu in self.nu_grid):
             raise ConfigError("nu must be >= 0")
+        check_seed(self.seed)
         checked_kernel(self.f_c, self.c1, "c1")
         checked_kernel(self.f_c, self.c2, "c2")
 
@@ -93,6 +94,12 @@ def check_fit(k: int, sep_min: float) -> None:
     circle only if k sep_min < 1."""
     if k * sep_min >= 1.0:
         raise ConfigError(f"{k} spikes {sep_min:g} apart do not fit on the circle")
+
+
+def check_seed(seed: int) -> None:
+    """Philox and SeedSequence take only non-negative seeds."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, not {seed}")
 
 
 def sample_positions(rng: np.random.Generator, k: int, sep_min: float) -> np.ndarray:
@@ -141,13 +148,10 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, nu: float) -> TrialRecord:
         peaks = find_peaks(y, kernel1, PeakConfig(max_peaks=cfg.k))
         k_tilde = peaks.k_tilde
         tau_init = peaks.tau0
-        if k_tilde == 0:
-            status, err = "no_peaks", FAILED_TRIAL_ERR
-        else:
-            report = solve_phase2(y, peaks.tau0, kernel1, cached_kernel(cfg.f_c, cfg.c2))
-            tau_init, reseeds = report.centres, report.reseeds
-            estimate, status = report.tau_tilde, report.status
-            err = hausdorff(estimate, truth.positions)
+        report = solve_phase2(y, peaks.tau0, kernel1, cached_kernel(cfg.f_c, cfg.c2))
+        tau_init, reseeds = report.centres, report.reseeds
+        estimate, status = report.tau_tilde, report.status
+        err = hausdorff(estimate, truth.positions) if estimate.size else FAILED_TRIAL_ERR
     except ValueError:  # DegenerateDictionaryError is a ValueError
         status, err = "error", FAILED_TRIAL_ERR
 
@@ -229,6 +233,7 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
     at random feasible configurations."""
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")
+    check_seed(seed)
     sigma1 = checked_kernel(f_c, c1, "c1").sigma
     kernel2 = checked_kernel(f_c, c2, "c2")
     sep = 4.0 * sigma1

@@ -48,6 +48,7 @@ STATUS_CONVERGED = "converged"
 STATUS_STALLED = "stalled"
 STATUS_MAX_ITER = "max_iter"
 STATUS_HESSIAN_NOT_PD = "hessian_not_pd"
+STATUS_NO_PEAKS = "no_peaks"  # phase 1 found no peak, so Newton did not run
 
 
 class DegenerateDictionaryError(ValueError):
@@ -68,8 +69,6 @@ class _Problem:
 
 def _real_view(zhat: Spectrum) -> np.ndarray:
     """sqrt(w_l) zhat[l], l >= 0, as interleaved real and imaginary parts."""
-    if not zhat.real_signal:
-        raise ValueError("phase 2 requires a real_signal spectrum")
     return (np.sqrt(half_band(zhat.f_c)[1]) * zhat.coeffs[zhat.f_c:]).view(float)
 
 
@@ -329,7 +328,13 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
     local-improvement step of ADCG (Boyd, Schiebinger and Recht, SIAM J.
     Optim. 27, 2017) and of sliding Frank-Wolfe (Denoyelle, Duval, Peyre and
     Soubies, Inverse Problems 36, 2019).
+
+    Empty tau0 (phase 1 found no peak) gives a no_peaks report with no atoms.
     """
+    if np.size(tau0) == 0:
+        empty = np.empty(0)
+        return SolveReport(tau_tilde=empty, beta=empty, f_trace=empty, grad_norm_final=0.0,
+                           status=STATUS_NO_PEAKS, iterations=0, centres=empty)
     zhat = pointwise_mul(y, kernel2.spectrum())
     radius = kernel1.sigma
     centres = tau0
@@ -338,7 +343,7 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
         if report.status != STATUS_HESSIAN_NOT_PD or reseeds == MAX_RESEEDS:
             break
         model = spike_fourier(SpikeTrain(report.tau_tilde, report.beta), y.f_c)
-        resid = Spectrum(y.f_c, zhat.coeffs - kernel2.ghat * model.coeffs, real_signal=True)
+        resid = Spectrum(y.f_c, zhat.coeffs - kernel2.ghat * model.coeffs)
         kept = _prune(report.tau_tilde, report.beta, radius)
         dropped = report.tau_tilde.size - kept.size
         pick = greedy_scan(resid, radius, dropped, taken=kept).tau0

@@ -53,12 +53,12 @@ class SlepianKernel:
         return self.c / self.n
 
     def spectrum(self) -> Spectrum:
-        """The coefficients as a real-signal Spectrum, built and checked once per kernel."""
+        """The coefficients as a Spectrum, built and checked once per kernel."""
         return self._spectrum
 
     @cached_property
     def _spectrum(self) -> Spectrum:
-        return Spectrum(self.f_c, self.ghat.astype(complex), real_signal=True)
+        return Spectrum(self.f_c, self.ghat.astype(complex))
 
 
 def _sinc_circulant_spectrum(n: int, sigma: float) -> np.ndarray:

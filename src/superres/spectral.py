@@ -15,7 +15,7 @@ e^{2 pi i j B t} and e^{2 pi i k t} (see `phasors` and `block_sum`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +35,8 @@ def half_band(f_c: int) -> tuple[np.ndarray, np.ndarray]:
     """l = 0 .. f_C and weights w with sum_{|l| <= f_C} a[l] = Re sum_{l >= 0} w[l] a[l].
 
     It holds for Hermitian a: real signals' spectra and their products with even
-    real kernels or powers of 2 pi i l. Symmetry is checked where a real_signal
-    Spectrum is made, so the folded sums need no imaginary-residue check.
+    real kernels or powers of 2 pi i l. Symmetry is checked where a Spectrum
+    is made, so the folded sums need no imaginary-residue check.
     Both arrays are cached per f_C and read-only.
     """
     ls = np.arange(f_c + 1)
@@ -116,19 +116,19 @@ class SpikeTrain:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "amplitudes", amp)
 
-    def __len__(self) -> int:
-        return self.positions.size
-
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex Fourier coefficients on the band [-f_C : f_C]."""
+    """Complex Fourier coefficients on the band [-f_C : f_C] of a real signal, so
+    Hermitian-symmetric: checked on construction."""
 
     f_c: int
     coeffs: np.ndarray
-    real_signal: bool = field(default=False)
+    real_signal: InitVar[bool] = True  # init-only: a complex signal's spectrum raises
 
-    def __post_init__(self):
+    def __post_init__(self, real_signal):
+        if not real_signal:
+            raise ValueError("a Spectrum is a real signal's: real_signal must be True")
         if self.f_c < 1:
             raise ValueError("f_c must be >= 1")
         coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -139,18 +139,14 @@ class Spectrum:
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-        if self.real_signal:
-            mirrored = np.conj(coeffs[::-1])
-            scale = max(np.abs(coeffs).max(), 1e-300)
-            if np.abs(coeffs - mirrored).max() > HERMITIAN_RTOL * scale:
-                raise ValueError("coefficients are not Hermitian-symmetric")
+        mirrored = np.conj(coeffs[::-1])
+        scale = max(np.abs(coeffs).max(), 1e-300)
+        if np.abs(coeffs - mirrored).max() > HERMITIAN_RTOL * scale:
+            raise ValueError("coefficients are not Hermitian-symmetric")
 
     @property
     def n(self) -> int:
         return 2 * self.f_c + 1
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 def spike_fourier(x: SpikeTrain, f_c: int) -> Spectrum:
@@ -162,7 +158,7 @@ def spike_fourier(x: SpikeTrain, f_c: int) -> Spectrum:
     if f_c < 1:
         raise ValueError("f_c must be >= 1")
     half = phasors(f_c, -x.positions) @ x.amplitudes
-    return Spectrum(f_c, np.concatenate([np.conj(half[:0:-1]), half]), real_signal=True)
+    return Spectrum(f_c, np.concatenate([np.conj(half[:0:-1]), half]))
 
 
 def synth_noise(f_c: int, nu: float, seed: int) -> Spectrum:
@@ -176,28 +172,28 @@ def synth_noise(f_c: int, nu: float, seed: int) -> Spectrum:
         raise ValueError("nu must be >= 0")
     n = 2 * f_c + 1
     if nu == 0.0:
-        return Spectrum(f_c, np.zeros(n, dtype=complex), real_signal=True)
+        return Spectrum(f_c, np.zeros(n, dtype=complex))
     rng = np.random.Generator(np.random.Philox(seed))
     pos = rng.standard_normal(f_c) + 1j * rng.standard_normal(f_c)
     dc = rng.standard_normal()
     coeffs = np.concatenate([np.conj(pos[::-1]), [dc], pos])
     energy = np.sum(np.abs(coeffs) ** 2)
     coeffs *= np.sqrt(n * nu**2 / energy)
-    return Spectrum(f_c, coeffs, real_signal=True)
+    return Spectrum(f_c, coeffs)
 
 
 def add(a: Spectrum, b: Spectrum) -> Spectrum:
     """Entrywise sum of two spectra with matching bands."""
     if a.f_c != b.f_c:
         raise ValueError("mismatched cut-off frequencies")
-    return Spectrum(a.f_c, a.coeffs + b.coeffs, real_signal=a.real_signal and b.real_signal)
+    return Spectrum(a.f_c, a.coeffs + b.coeffs)
 
 
 def pointwise_mul(a: Spectrum, b: Spectrum) -> Spectrum:
     """Entrywise product; implements circular convolution in time."""
     if a.f_c != b.f_c:
         raise ValueError("mismatched cut-off frequencies")
-    return Spectrum(a.f_c, a.coeffs * b.coeffs, real_signal=a.real_signal and b.real_signal)
+    return Spectrum(a.f_c, a.coeffs * b.coeffs)
 
 
 @lru_cache(maxsize=16)
@@ -219,8 +215,6 @@ def smooth_len(n: int) -> int:
 
 def eval_grid(s: Spectrum, m: int) -> np.ndarray:
     """Evaluate the real signal on the uniform grid t = k/M via zero-padded inverse real FFT."""
-    if not s.real_signal:
-        raise ValueError("eval_grid requires a real_signal spectrum")
     if m < s.n:
         raise ValueError("grid too coarse")
     grid = np.fft.irfft(s.coeffs[s.f_c:], m)
@@ -230,8 +224,6 @@ def eval_grid(s: Spectrum, m: int) -> np.ndarray:
 
 def eval_point(s: Spectrum, t: float) -> float:
     """Evaluate the real signal at a single position by direct summation (`block_sum`)."""
-    if not s.real_signal:
-        raise ValueError("eval_point requires a real_signal spectrum")
     return float(block_sum(blocks(half_band(s.f_c)[1] * s.coeffs[s.f_c:]), t))
 
 
@@ -243,9 +235,9 @@ def save_spectrum_csv(s: Spectrum, path) -> None:
             fh.write(f"{l},{c.real:.17g},{c.imag:.17g}\n")
 
 
-def load_spectrum_csv(path, real_signal: bool = True) -> Spectrum:
+def load_spectrum_csv(path) -> Spectrum:
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1, 2))
     ls = rows[:, 0].astype(int)
     if ls.size == 0 or ls[0] != -ls[-1] or np.any(np.diff(ls) != 1):
         raise ValueError("spectrum CSV must cover l = -f_C .. f_C contiguously")
-    return Spectrum(int(ls[-1]), rows[:, 1] + 1j * rows[:, 2], real_signal=real_signal)
+    return Spectrum(int(ls[-1]), rows[:, 1] + 1j * rows[:, 2])

@@ -240,9 +240,10 @@ def test_criterion_9_metric_and_transform_invariants(kernel1):
     # Parseval: grid mean square equals coefficient energy
     coeffs = rng.standard_normal(2 * F_C + 1) + 1j * rng.standard_normal(2 * F_C + 1)
     coeffs = 0.5 * (coeffs + coeffs[::-1].conj())
-    spec = Spectrum(F_C, coeffs, real_signal=True)
+    spec = Spectrum(F_C, coeffs)
     values = eval_grid(spec, 8 * spec.n)
-    ok &= abs(np.mean(values**2) - spec.energy()) < 1e-9 * spec.energy()
+    energy = np.sum(np.abs(coeffs) ** 2)
+    ok &= abs(np.mean(values**2) - energy) < 1e-9 * energy
 
     # measurement model: spike spectra are shift-covariant
     tau = np.array([0.2, 0.7])

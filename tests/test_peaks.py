@@ -88,7 +88,7 @@ class TestBasicCases:
         assert wrap_dist(result.tau0[0], 0.25) <= kernel50.sigma
 
     def test_zero_measurement(self, kernel50):
-        y = Spectrum(50, np.zeros(101, dtype=complex), real_signal=True)
+        y = Spectrum(50, np.zeros(101, dtype=complex))
         result = find_peaks(y, kernel50, PeakConfig(eta=0.1))
         assert result.k_tilde == 0
         assert result.tau0.size == 0
@@ -120,7 +120,7 @@ class TestInvariances:
         y = spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), 50)
 
         def scan(scale):
-            scaled = Spectrum(50, scale * y.coeffs, real_signal=True)
+            scaled = Spectrum(50, scale * y.coeffs)
             return find_peaks(scaled, kernel50, PeakConfig(max_peaks=7))
 
         a, exact, inexact = scan(1.0), scan(4.0), scan(3.7)

@@ -106,7 +106,7 @@ class TestConfig:
             ExperimentConfig(trials=0)
 
     @pytest.mark.parametrize("field,value", [("k", 0), ("sep_min", -0.5), ("c1", 60),
-                                             ("c2", -1), ("f_c", 0)])
+                                             ("c2", -1), ("f_c", 0), ("seed", -1)])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
@@ -122,7 +122,7 @@ class TestSampling:
         for seed in range(5):
             x = sample_instance(cfg, seed)
             assert separation(x.positions) >= cfg.sep_min
-            assert len(x) == 14
+            assert x.positions.size == 14
 
     def test_deterministic(self):
         a = sample_instance(EASY, 123)
@@ -217,6 +217,15 @@ class TestRunTrial:
             assert r.tau_init.shape == r.tau_estimate.shape == (r.k_tilde,)
             assert np.all(wrap_dist(r.tau_estimate, r.tau_init) <= SIGMA1 + 1e-12)
 
+    def test_no_pick_is_a_no_peaks_record(self, monkeypatch):
+        # phase 2 reports the empty pick list; the trial scores it as a failure
+        empty = find_peaks(Spectrum(50, np.zeros(101)), cached_kernel(50, 1.5), PeakConfig())
+        assert empty.k_tilde == 0
+        monkeypatch.setattr(superres.experiments, "find_peaks", lambda *args: empty)
+        record = run_trial(EASY, trial_seed_for(EASY, 0, 0), 0.0)
+        assert (record.status, record.hausdorff_err, record.reseeds) == ("no_peaks", 0.5, 0)
+        assert record.k_tilde == record.tau_estimate.size == record.tau_init.size == 0
+
     def test_noisy_trial_reports_finite_error(self):
         record = run_trial(EASY, trial_seed_for(EASY, 0, 0), 0.05)
         assert 0.0 <= record.hausdorff_err <= 0.5
@@ -258,6 +267,10 @@ class TestGradcheck:
         assert report.passed
         assert report.max_grad_rel_err <= 1e-5
         assert report.max_hess_rel_err <= 1e-4
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, not -1"):
+            gradcheck(n_points=1, seed=-1)
 
     def test_zero_points_rejected(self):
         with pytest.raises(ConfigError, match="n_points"):
@@ -339,13 +352,19 @@ class TestCli:
         assert main(["solve", "--input", example_csv, "--fc", "50", "--c1", "1.5"]) == code
         assert json.loads(capsys.readouterr().out)["status"] == status
 
-    def test_solve_no_peaks_is_numerical_exit(self, tmp_path, capsys):
+    def test_solve_no_peaks_is_numerical_exit(self, example_csv, tmp_path, capsys):
+        # the full JSON of a converged solve, with an empty result
+        assert main(["solve", "--input", example_csv, "--fc", "50",
+                     "--c1", "1.5", "--eta", "5.0"]) == 0
+        converged = json.loads(capsys.readouterr().out)
         path = tmp_path / "zero.csv"
-        save_spectrum_csv(Spectrum(50, np.zeros(101), real_signal=True), path)
+        save_spectrum_csv(Spectrum(50, np.zeros(101)), path)
         assert main(["solve", "--input", str(path), "--fc", "50", "--c1", "1.5"]) == 2
         payload = json.loads(capsys.readouterr().out)
-        assert payload["status"] == "no_peaks"
-        assert payload["k_tilde"] == 0
+        assert list(payload) == list(converged)
+        assert payload == {"k_tilde": 0, "positions": [], "amplitudes": [],
+                           "status": "no_peaks", "reseeds": 0, "iterations": 0,
+                           "grad_norm_final": 0.0, "f_trace": []}
 
     def test_solve_config_file_overrides(self, example_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -428,10 +447,12 @@ class TestCli:
         ["gradcheck", "--c1", "60"],
         ["gradcheck", "--c2", "80"],
         ["gradcheck", "--c1", "10", "--n-points", "3"],  # 7 spikes 4 sigma1 apart overfill
+        ["mc", "--seed", "-1", "--trials", "1"],
+        ["gradcheck", "--seed", "-1", "--n-points", "1"],
     ], ids=["oversample", "k", "trials", "overfull", "nu", "sep_min", "n_points",
             "mc_c1", "mc_c2", "mc_fc", "kernel_c", "kernel_sigma", "kernel_fc", "kernel_grid",
             "phase1_c1", "solve_c1", "solve_c2", "gradcheck_c1", "gradcheck_c2",
-            "gradcheck_overfull"])
+            "gradcheck_overfull", "mc_seed", "gradcheck_seed"])
     def test_out_of_range_setting_is_usage_error(self, argv, example_csv, capsys):
         err = usage_error([example_csv if a == "EXAMPLE" else a for a in argv], capsys)
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -205,7 +205,7 @@ class TestBuildKernel:
         kernel = build_kernel(50, 1.5)
         spectrum = kernel.spectrum()
         assert kernel.spectrum() is spectrum
-        assert spectrum.real_signal and not spectrum.coeffs.flags.writeable
+        assert not spectrum.coeffs.flags.writeable
         assert np.array_equal(spectrum.coeffs, kernel.ghat.astype(complex))
 
     def test_build_imports_no_module(self):

@@ -46,6 +46,11 @@ def full_band_point(s, t):
     return np.sum(s.coeffs * np.exp(2j * np.pi * ells(s.f_c) * t))
 
 
+def energy(s):
+    """Sum of |c_l|^2 over the band."""
+    return float(np.sum(np.abs(s.coeffs) ** 2))
+
+
 def seeded_real_spectrum(f_c, seed):
     """Spikes plus noise: a Hermitian spectrum whose signal has a generic shape."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -88,16 +93,18 @@ class TestSpectrum:
     def test_hermitian_check(self):
         bad = np.array([1.0 + 1j, 0.0, 1.0 + 1j])
         with pytest.raises(ValueError, match="Hermitian"):
-            Spectrum(1, bad, real_signal=True)
+            Spectrum(1, bad)
+        # only a real signal's spectrum can be made
+        with pytest.raises(ValueError, match="real_signal must be True"):
+            Spectrum(1, np.zeros(3), real_signal=False)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_coefficients_raise(self, bad):
         # NaN compares false, so it would pass the Hermitian test
         coeffs = spike_fourier(SpikeTrain([0.3], [1.0]), 50).coeffs.copy()
         coeffs[50] = bad
-        for real_signal in (True, False):
-            with pytest.raises(ValueError, match="finite"):
-                Spectrum(50, coeffs, real_signal=real_signal)
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(50, coeffs)
 
     def test_coeffs_read_only(self):
         s = Spectrum(1, np.zeros(3))
@@ -165,11 +172,11 @@ class TestSynthNoise:
     def test_exact_energy(self):
         for nu in (0.025, 0.1, 1.0):
             s = synth_noise(50, nu, seed=42)
-            assert s.energy() == pytest.approx(101 * nu**2, rel=1e-12)
+            assert energy(s) == pytest.approx(101 * nu**2, rel=1e-12)
 
     def test_zero_level(self):
         s = synth_noise(50, 0.0, seed=1)
-        assert s.energy() == 0.0
+        assert energy(s) == 0.0
 
     def test_negative_level_raises(self):
         with pytest.raises(ValueError, match="nu"):
@@ -198,7 +205,7 @@ class TestEvalGrid:
         f_c = 7
         pos = rng.standard_normal(f_c) + 1j * rng.standard_normal(f_c)
         coeffs = np.concatenate([np.conj(pos[::-1]), [rng.standard_normal()], pos])
-        s = Spectrum(f_c, coeffs, real_signal=True)
+        s = Spectrum(f_c, coeffs)
         m = 40
         values = eval_grid(s, m)
         for k in range(m):
@@ -226,7 +233,7 @@ class TestEvalGrid:
         s = synth_noise(15, 0.7, seed=11)
         m = 8 * s.n
         values = eval_grid(s, m)
-        assert np.mean(values**2) == pytest.approx(s.energy(), rel=1e-10)
+        assert np.mean(values**2) == pytest.approx(energy(s), rel=1e-10)
 
     @pytest.mark.parametrize("f_c", [50, 1000])
     def test_half_band_matches_full_band_oracle(self, f_c):
@@ -246,13 +253,6 @@ class TestEvalGrid:
         s = seeded_real_spectrum(1000, seed=3)
         m = 32 * s.n
         assert np.array_equal(eval_grid(s, m), m * np.fft.irfft(s.coeffs[s.f_c:], m))
-
-    def test_requires_real_signal_flag(self):
-        s = Spectrum(2, np.arange(5, dtype=complex))
-        with pytest.raises(ValueError, match="real_signal"):
-            eval_grid(s, 16)
-        with pytest.raises(ValueError, match="real_signal"):
-            eval_point(s, 0.3)
 
 
 class TestSmoothLen:

@@ -1,7 +1,8 @@
-"""Per-instance solver outcomes on the benchmark's input pools, and their diff.
+"""Per-instance solver outcomes on the benchmark's input pools and the mc path, and their diff.
 
     python3 tools/outcomes.py --out new.csv
     python3 tools/outcomes.py --workloads clean --seeds 1 2 --out new.csv --against old.csv
+    python3 tools/outcomes.py --workloads mc --out new.csv --against old.csv
 
 Each instance of `make_pool` (bench/inputs.py) for the chosen entries of
 bench/run.py's WORKLOADS, with their settings, is solved as `superres solve`
@@ -13,6 +14,14 @@ the picks and peak values (`phase1_sha256`) and one of tau and beta
 (`phase2_sha256`). So two trees that write the same file made bit-identical
 outcomes, and a change that moves only phase 2's rounding shows in the last
 column alone.
+
+The `mc` entry runs `run_trial`, as `superres mc` does, on
+trial_seed_for(ExperimentConfig(), i, t) for nu = MC_NU[i] and the first
+MC_TRIALS trials t; --seeds does not apply to it. Its rows have the trial seed
+in `seed`, t in `index`, the status and re-seeds, and in `phase2_sha256` a
+sha256 of tau_init, tau_estimate and the Hausdorff error. So a change to the
+instance sampling or the measurement (`sample_instance`, `spike_fourier`,
+`synth_noise`, `add`) shows there, although the pools are built without them.
 
 --against FILE prints every row that differs from FILE, then how many rows
 differ in each column and a count per change of status, and exits 1 when any
@@ -41,7 +50,12 @@ for var in THREAD_VARS:
 import numpy as np  # noqa: E402
 
 from inputs import make_pool  # noqa: E402
-from superres.experiments import cached_kernel  # noqa: E402
+from superres.experiments import (  # noqa: E402
+    ExperimentConfig,
+    cached_kernel,
+    run_trial,
+    trial_seed_for,
+)
 from superres.peaks import PeakConfig, find_peaks  # noqa: E402
 from superres.refine import solve_phase2  # noqa: E402
 
@@ -49,6 +63,8 @@ COLUMNS = ("workload", "seed", "index", "scan", "status", "newton_iterations", "
            "phase1_iterations", "phase1_sha256", "phase2_sha256")
 KEY = COLUMNS[:4]
 UNCAPPED = 300
+MC_NU = (0.0, 0.05)
+MC_TRIALS = 600
 
 
 def _sha(arrays) -> str:
@@ -69,22 +85,33 @@ def outcome(y, kernel1, kernel2, max_peaks) -> dict:
            "phase1_iterations": peaks.iterations,
            "phase1_sha256": _sha([peaks.tau0, peaks.peak_values]), "phase2_sha256": ""}
     if max_peaks is not None:
-        if peaks.k_tilde == 0:
-            row["status"] = "no_peaks"
+        try:
+            report = solve_phase2(y, peaks.tau0, kernel1, kernel2)
+        except ValueError:  # DegenerateDictionaryError is a ValueError
+            row["status"] = "error"
         else:
-            try:
-                report = solve_phase2(y, peaks.tau0, kernel1, kernel2)
-            except ValueError:  # DegenerateDictionaryError is a ValueError
-                row["status"] = "error"
-            else:
-                row.update(status=report.status, newton_iterations=report.iterations,
-                           reseeds=report.reseeds,
-                           phase2_sha256=_sha([report.tau_tilde, report.beta]))
+            row.update(status=report.status, newton_iterations=report.iterations,
+                       reseeds=report.reseeds,
+                       phase2_sha256=_sha([report.tau_tilde, report.beta]))
     return row
+
+
+def run_mc():
+    cfg = ExperimentConfig()
+    for i, nu in enumerate(MC_NU):
+        for t in range(MC_TRIALS):
+            rec = run_trial(cfg, trial_seed_for(cfg, i, t), nu)
+            yield {"workload": "mc", "seed": rec.seed, "index": t, "scan": "K",
+                   "status": rec.status, "newton_iterations": "", "reseeds": rec.reseeds,
+                   "phase1_iterations": "", "phase1_sha256": "",
+                   "phase2_sha256": _sha([rec.tau_init, rec.tau_estimate, rec.hausdorff_err])}
 
 
 def run(workloads, seeds):
     for name in workloads:
+        if name == "mc":
+            yield from run_mc()
+            continue
         w = WORKLOADS[name]
         kernel1, kernel2 = cached_kernel(w.f_c, w.c1), cached_kernel(w.f_c, w.c2)
         for seed in seeds:
@@ -129,7 +156,7 @@ def compare(rows: list[dict], path: str) -> int:
 
 
 def main() -> int:
-    solvable = [name for name, w in WORKLOADS.items() if not w.sweep]
+    solvable = [name for name, w in WORKLOADS.items() if not w.sweep] + ["mc"]
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workloads", nargs="+", choices=solvable, default=solvable)
     p.add_argument("--seeds", nargs="+", type=int, default=[1])
