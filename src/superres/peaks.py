@@ -1,18 +1,20 @@
 """Greedy initialization: iterative peak picking on the filtered measurement.
 
 The measurement spectrum is multiplied by the kernel coefficients (circular
-convolution in time), the magnitude of the result is scanned on a fine grid
+convolution in time), the magnitude of the result is scanned on a grid
 (OVERSAMPLE * N points rounded up to a 5-smooth FFT length, set by N alone), and
 its local maxima are selected greedily and polished by Newton steps on its
-derivative. The polish reads z, z' and z'' from their coefficient rows in
-`spectral.blocks` form, built once per scan, at J + B exponentials (about
-2 sqrt(N)) per point and step. It runs in batches: the first candidate
-reached without a polish is polished together with the alive candidates that
-follow it in value order, up to the picks still open, with one `block_sum`
-call per Newton step. After each selection the local maxima within 2 sigma
-of the peak are erased so nearby lobes of the same spike cannot be picked
-again, and a polish that slides back that close to an earlier pick is dropped.
-One binary search over positions (`_near`) serves both tests. Phase 2's
+derivative. The grid only finds the local maxima and ranks them, by the vertex
+value of the parabola through each and its two neighbours; the polish, which
+starts at that vertex, supplies the off-grid accuracy. It reads z, z' and z''
+from their coefficient rows in `spectral.blocks` form, built once per scan, at
+J + B exponentials (about 2 sqrt(N)) per point and step. It runs in batches: the
+first candidate reached without a polish is polished together with the alive
+candidates that follow it in value order, up to the picks still open, with one
+`block_sum` call per Newton step. After each selection the local maxima within
+2 sigma of the peak are erased so nearby lobes of the same spike cannot be
+picked again, and a polish that slides back that close to an earlier pick is
+dropped. One binary search over positions (`_near`) serves both tests. Phase 2's
 re-seed runs the same scan (`greedy_scan`) on its residual.
 """
 
@@ -30,18 +32,22 @@ from .slepian import SlepianKernel
 from .spectral import (Spectrum, block_sum, blocks, eval_grid, half_band, pointwise_mul,
                        smooth_len)
 
-NEWTON_STEPS = 3  # quadratic convergence: from one grid cell (1/M) to below 1e-12
-OVERSAMPLE = 32  # grid points per coefficient, for phase 1 and the phase-2 re-seed
+NEWTON_STEPS = 4  # at most; quadratic convergence: from a parabola vertex (< 0.1 cell
+# off) to below 1e-12
+OVERSAMPLE = 8  # grid points per coefficient, for phase 1 and the phase-2 re-seed; the
+# grid only finds and ranks the local maxima, and the polish supplies the accuracy
 POLISH_BATCH = 64  # at most this many points per `_polish` call (see `greedy_scan`)
+POLISH_TOL = 1e-14  # a Newton step this short ends a point's polish: its error is ~the step
 
 
 @dataclass(frozen=True)
 class PeakConfig:
     """Knobs for the greedy scan."""
 
-    eta: float = 0.0  # stop once the residual maximum falls to <= eta
+    eta: float = 0.0  # stop once the best candidate's vertex value falls to <= eta
     max_peaks: Optional[int] = None
-    oversample = OVERSAMPLE  # not a field: read by bench/workloads.py for its grid probe
+    oversample = OVERSAMPLE  # not a field: read by bench/workloads.py, whose grid probe
+    # takes OVERSAMPLE * N points where the scan takes smooth_len(OVERSAMPLE * N)
 
     def __post_init__(self):
         if self.eta < 0:
@@ -68,13 +74,15 @@ def _derivative_blocks(z: Spectrum) -> np.ndarray:
 
 
 def _polish(zb: np.ndarray, t: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps on z' from the grid points t, each clipped to its t -/+ half_width;
+    """Newton steps on z' from the points t, each clipped to its t -/+ half_width;
     returns (t, |z(t)|).
 
     zb is `_derivative_blocks(z)`. A point stops where sign(z) z'' >= 0, since |z|
-    is not concave there. Each step evaluates every point in one `block_sum` call,
-    whose per-point bits do not depend on the batch: a stopped point takes a zero
-    step, so it is evaluated at the same t again, stays stopped and keeps its value.
+    is not concave there, or once its step is at most POLISH_TOL. Each step
+    evaluates every point in one `block_sum` call, whose per-point bits do not
+    depend on the batch: a stopped point takes a zero step, so it is evaluated at
+    the same t again, stays stopped and keeps its value. The steps end when every
+    point has stopped.
     """
     t = np.array(t, dtype=float)
     lo, hi = t - half_width, t + half_width
@@ -83,9 +91,11 @@ def _polish(zb: np.ndarray, t: np.ndarray, half_width: float) -> tuple[np.ndarra
         if step == NEWTON_STEPS:
             break
         go = np.sign(f0) * f2 < 0.0
-        if not go.any():
+        newton = f1 / np.where(go, f2, np.inf)  # 0 where |z| is not concave
+        newton[np.abs(newton) <= POLISH_TOL] = 0.0
+        if not newton.any():
             break
-        t = np.clip(t - np.divide(f1, f2, out=np.zeros_like(f1), where=go), lo, hi)
+        t = np.minimum(np.maximum(t - newton, lo), hi)
     t %= 1.0
     return t, np.abs(f0)
 
@@ -107,6 +117,17 @@ def _near(points: list[float], t: float, radius: float, reach: float) -> list[in
     return near
 
 
+def _vertices(az: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex (c + x, a0 + (a+ - a-) x / 4), in grid cells, of the parabola through
+    each grid maximum a0 = az[c] and its neighbours a- and a+ on the circular grid, with
+    x = (a- - a+) / (2 (a- - 2 a0 + a+)), or x = 0 where that denominator is not negative."""
+    a0 = az[cand]
+    am, ap = az[cand - 1], az[(cand + 1) % az.size]
+    den = am - 2.0 * a0 + ap
+    x = np.divide(am - ap, 2.0 * den, out=np.zeros_like(a0), where=den < 0.0)
+    return cand + x, a0 + (ap - am) * x / 4.0
+
+
 def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResult:
     """Greedy peak selection with neighborhood erasure on the filtered signal."""
     if y.f_c != kernel.f_c:
@@ -120,9 +141,10 @@ def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResul
 def greedy_scan(z: Spectrum, sigma: float, cap: int, eta: float = 0.0, taken=()) -> PeakResult:
     """At most cap greedy picks of |z| on the grid, each polished off-grid.
 
-    The grid has `smooth_len(OVERSAMPLE * N)` points, a fast FFT length. Positions
-    in taken are erased before the first pick and, like the picks, reject a polish
-    that slides back to within 2 sigma of them.
+    The grid has `smooth_len(OVERSAMPLE * N)` points, a fast FFT length; its local
+    maxima are ranked, and compared with eta, by the value at their `_vertices`,
+    and polished from there. Positions in taken are erased before the first pick
+    and, like the picks, reject a polish that slides back to within 2 sigma of them.
     """
     m = smooth_len(OVERSAMPLE * z.n)
     az = eval_grid(z, m)
@@ -137,9 +159,9 @@ def greedy_scan(z: Spectrum, sigma: float, cap: int, eta: float = 0.0, taken=())
     is_max[0] = az[0] >= az[-1] and az[0] >= az[1]
     is_max[-1] = az[-1] >= az[-2] and az[-1] >= az[0]
     cand = np.flatnonzero(is_max)  # in position order, so an erased arc is found by bisection
-    grid_pos = cand / m
-    pos = grid_pos.tolist()
-    peak = az[cand]
+    pos = (cand / m).tolist()
+    vertex, peak = _vertices(az, cand)
+    start = vertex / m
     # Erasure only removes candidates, so one sort orders every later choice.
     order = np.argsort(-peak, kind="stable").tolist()  # ties: smallest index first
     above = int(np.count_nonzero(peak > eta))  # order[:above] may still be picked
@@ -174,7 +196,7 @@ def greedy_scan(z: Spectrum, sigma: float, cap: int, eta: float = 0.0, taken=())
             # erase many of them before they are reached, hence POLISH_BATCH.
             width = min(cap - len(tau0), POLISH_BATCH)
             batch = list(islice((k for k in order[n:above] if alive[k]), width))
-            ts, vals = _polish(zb, grid_pos[batch], 1.0 / m)
+            ts, vals = _polish(zb, start[batch], 1.0 / m)
             polished.update(zip(batch, zip(ts.tolist(), vals.tolist())))
         t, value = polished[i]
         if _near(occupied, t, two_sigma, reach):

@@ -285,12 +285,14 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
             break
         u, p = cand, q
         f_trace.append(p.f)
+    else:  # max_iter: the last step moved p, so grad is stale
+        grad = _gradient(prob, p)[0]
 
     return SolveReport(
         tau_tilde=wrap(box.center + u),
         beta=p.beta,
         f_trace=np.asarray(f_trace),
-        grad_norm_final=float(np.linalg.norm(_gradient(prob, p)[0])),
+        grad_norm_final=float(np.linalg.norm(grad)),
         status=status,
         iterations=iterations,
         centres=box.center,

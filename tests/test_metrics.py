@@ -14,8 +14,8 @@ from superres.circle import (
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-# 3232 = 32 N at f_c = 50: a re-seed grid cell 96 cells (2 sigma1 at c1 = 1.5)
-# from an atom that sits on a grid point
+# 3232 = 32 N at f_c = 50, the re-seed grid while OVERSAMPLE was 32: a grid cell
+# 96 cells (2 sigma1 at c1 = 1.5) from an atom that sits on a grid point
 CELL_575, CELL_671 = 575 / 3232, 671 / 3232
 point_sets = st.lists(unit, min_size=1, max_size=8).map(np.array)
 

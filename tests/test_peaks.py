@@ -13,6 +13,7 @@ from scipy.fft import next_fast_len
 
 import superres.peaks as peaks
 from superres.circle import wrap, wrap_dist
+from superres.experiments import ExperimentConfig, sample_instance
 from superres.peaks import (
     NEWTON_STEPS,
     OVERSAMPLE,
@@ -230,37 +231,50 @@ def grid_len(y):
     return next_fast_len(peaks.OVERSAMPLE * y.n, real=True)
 
 
+def grid_vertices(z):
+    """|z| on the grid of `grid_len` points M: its local maxima and, for every grid
+    point, the vertex of the parabola through it and its two neighbours, as a
+    position in [-1/(2M), 1 + 1/(2M)) and a value. A flat top keeps its grid point."""
+    m = grid_len(z)
+    az = np.abs(eval_grid(z, m))
+    am, ap = np.roll(az, 1), np.roll(az, -1)
+    den = am - 2.0 * az + ap  # <= 0 at a maximum
+    x = np.divide(am - ap, 2.0 * den, out=np.zeros_like(az), where=den < 0.0)
+    return (az >= am) & (az >= ap), (np.arange(m) + x) / m, az + (ap - am) * x / 4.0
+
+
 def masked_scan(y, kernel, cfg, direct=False, taken=()):
     """Reference greedy scan: re-mask all M grid points and take the argmax per pick.
 
-    M is scipy's fast real FFT length at or above OVERSAMPLE * N. direct=True
-    polishes with `direct_polish` instead of the library's `_polish`. The grid
-    within 2 sigma of a taken position is masked from the start, and a polish
-    that lands there is dropped.
+    M is scipy's fast real FFT length at or above OVERSAMPLE * N. A grid maximum is
+    ranked, and compared with eta, by the value at the vertex of the parabola
+    through it and its two neighbours, and polished from that vertex, within one
+    cell. direct=True polishes with `direct_polish` instead of the library's
+    `_polish`. The grid within 2 sigma of a taken position is masked from the
+    start, and a polish that lands there is dropped.
     """
     sigma = kernel.sigma
     z = pointwise_mul(y, kernel.spectrum())
     zb = _derivative_blocks(z)
     m = grid_len(y)
-    az = np.abs(eval_grid(z, m))
     grid = np.arange(m) / m
     cap = math.ceil(1.0 / (2.0 * sigma))
     if cfg.max_peaks is not None:
         cap = min(cap, cfg.max_peaks)
-    alive = (az >= np.roll(az, 1)) & (az >= np.roll(az, -1))
+    alive, start, vertex = grid_vertices(z)
     for t in taken:
         alive &= wrap_dist(grid, t) > 2.0 * sigma
     tau0, values, iterations = [], [], 0
     while len(tau0) < cap and alive.any():
         iterations += 1
-        masked = np.where(alive, az, -np.inf)
+        masked = np.where(alive, vertex, -np.inf)
         idx = int(np.argmax(masked))  # ties resolve to the smallest index
         if masked[idx] <= cfg.eta:
             break
         if direct:
-            t, value = direct_polish(z, grid[idx], 1.0 / m)
+            t, value = direct_polish(z, start[idx], 1.0 / m)
         else:
-            t, value = (a[0] for a in _polish(zb, grid[idx:idx + 1], 1.0 / m))
+            t, value = (a[0] for a in _polish(zb, start[idx:idx + 1], 1.0 / m))
         alive[idx] = False
         if wrap_dist(t, np.concatenate([taken, tau0])).min(initial=1.0) <= 2.0 * sigma:
             continue
@@ -300,9 +314,9 @@ class TestCandidateScan:
     ])
     def test_matches_masked_scan_at_other_bands(self, f_c, max_peaks):
         # f_c = 2: 2 sigma = 0.6, so an erased arc is wider than half the circle;
-        # N = 2001 = 3 * 23 * 29 and N = 3001 (prime): 32 N is not 5-smooth.
-        # Uncapped at f_c = 1000 (cap 667): polish batches of POLISH_BATCH points,
-        # many of which are erased before the scan reaches them.
+        # N = 2001 = 3 * 23 * 29 and N = 3001 (prime): 8 N is not 5-smooth.
+        # Uncapped at f_c = 1000 (cap 667): polish batches of up to POLISH_BATCH
+        # points, some of which are erased before the scan reaches them.
         kernel = build_kernel(f_c, 1.5)
         cfg = PeakConfig(max_peaks=max_peaks)
         for trial in range(2):
@@ -426,6 +440,39 @@ class TestDirectPolishOracle:
             assert result.k_tilde == tau0.size, f"trial {trial}"
             assert wrap_dist(result.tau0, tau0).max() <= 1e-12, f"trial {trial}"
             assert np.abs(result.peak_values - values).max() <= 1e-12 * values.max()
+
+
+def fixed_point_polish(z, t):
+    """Direct-exp Newton steps on z' from t until a step no longer moves it."""
+    ls, weights = half_band(z.f_c)
+    w = 2j * np.pi * ls
+    c1 = w * weights * z.coeffs[z.f_c:]
+    c2 = w * c1
+    for _ in range(50):
+        e = np.exp(w * t)
+        step = np.dot(c1, e).real / np.dot(c2, e).real
+        if t - step == t:
+            break
+        t -= step
+    return wrap(t)
+
+
+class TestPolishAccuracy:
+    @pytest.mark.parametrize("f_c, seeds", [(50, range(600, 720)), (1000, range(8))])
+    def test_picks_are_fixed_points_of_newton(self, f_c, seeds):
+        # Polished from a parabola vertex, NEWTON_STEPS steps must reach the maximum
+        # of |z| to rounding. The sample_instance draws are the clean regime (K = 14,
+        # separation 0.04); with one step fewer, the picks of seeds 611 and 705 at
+        # f_c = 50 stop 2e-12 and 1e-10 short.
+        cfg = ExperimentConfig(f_c=f_c)
+        kernel = build_kernel(f_c, 1.5)
+        for seed in seeds:
+            y = spike_fourier(sample_instance(cfg, seed), f_c)
+            z = pointwise_mul(y, kernel.spectrum())
+            result = find_peaks(y, kernel, PeakConfig(max_peaks=14))
+            assert result.k_tilde == 14
+            ref = np.array([fixed_point_polish(z, t) for t in result.tau0])
+            assert wrap_dist(result.tau0, ref).max() <= 1e-12, f"seed {seed}"
 
 
 def count_polish_work(monkeypatch):

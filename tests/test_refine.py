@@ -11,7 +11,7 @@ from scipy.integrate import fixed_quad
 
 import superres.refine
 from superres.circle import separation, wrap, wrap_dist, wrap_signed
-from superres.peaks import PeakConfig, find_peaks
+from superres.peaks import OVERSAMPLE, PeakConfig, find_peaks
 from superres.refine import (
     FEAS_TOL,
     MAX_RESEEDS,
@@ -720,6 +720,41 @@ class TestRunNewton:
         report = run_newton(tau0, kernel2, zhat_example, box)
         assert len(calls) == len(report.f_trace)
 
+    @pytest.mark.parametrize("exit_", [STATUS_CONVERGED, STATUS_HESSIAN_NOT_PD, STATUS_STALLED,
+                                       STATUS_MAX_ITER])
+    def test_one_gradient_per_iteration(self, kernel2, zhat_example, monkeypatch, exit_):
+        # The loop's gradient at the final point gives grad_norm_final; only the
+        # max_iter exit, whose last step moved the point, computes one more.
+        tau0, zhat, cfg = wrap(TAU_EXAMPLE + 5e-4), zhat_example, NewtonConfig()
+        if exit_ == STATUS_HESSIAN_NOT_PD:
+            monkeypatch.setattr(superres.refine, "_hessian",
+                                lambda p, w: 2.0 * np.ones((p.beta.size,) * 2) - np.eye(p.beta.size))
+        elif exit_ == STATUS_STALLED:  # as in test_no_descent_is_stalled
+            zhat, tau0 = filtered_spikes(kernel2, [0.5 + 1e-8], [1.0]), np.array([0.5])
+            evaluate, f0 = superres.refine._evaluate, objective_F(tau0, kernel2, zhat)
+
+            def flat(prob, rho):
+                p = evaluate(prob, rho)
+                return replace(p, f=max(p.f, f0))
+
+            monkeypatch.setattr(superres.refine, "_evaluate", flat)
+        elif exit_ == STATUS_MAX_ITER:
+            cfg = NewtonConfig(max_iter=2)
+        gradient = superres.refine._gradient
+        calls = []
+
+        def counted(prob, p):
+            calls.append((prob, p))
+            return gradient(prob, p)
+
+        monkeypatch.setattr(superres.refine, "_gradient", counted)
+        report = run_newton(tau0, kernel2, zhat, BoxConstraint(tau0, SIGMA1), cfg)
+        assert report.status == exit_
+        assert len(calls) == report.iterations + (exit_ == STATUS_MAX_ITER)
+        prob, last = calls[-1]
+        assert np.array_equal(last.beta, report.beta)
+        assert report.grad_norm_final == float(np.linalg.norm(gradient(prob, last)[0]))
+
 
 class TestSolvePhase2:
     @pytest.fixture()
@@ -768,19 +803,19 @@ class TestSolvePhase2:
 
     def test_reseed_next_to_an_atom_on_a_grid_point(self, monkeypatch):
         # A round keeps an atom on a grid point k and meets the residual's strongest
-        # grid maximum j exactly 96 cells away. At f_c = 40 the grid is 32 N = 2592
-        # points (already 5-smooth) and 2 sigma1 = 3/81 is exactly 96 cells. j
-        # survives the erasure by rounding and polishes to 0.009 cells beyond
+        # grid maximum j exactly 24 cells away. At f_c = 40 the grid is 8 N = 648
+        # points (already 5-smooth) and 2 sigma1 = 3/81 is exactly 24 cells. j
+        # survives the erasure by rounding and polishes to 0.012 cells beyond
         # 2 sigma1: the scan's distance tests and BoxConstraint's must round that
         # gap alike, or the new boxes overlap and it raises. Polished picks almost
         # never sit on a grid point, so Newton is stubbed to keep the atoms where
         # they are, with amplitudes too small to change the residual's maxima.
-        f_c, m = 40, 2592
+        f_c, m = 40, 648
         kernel1, kernel2 = build_kernel(f_c, 1.5), build_kernel(f_c, 2.25)
-        assert smooth_len(32 * (2 * f_c + 1)) == m and 2 * kernel1.sigma * m == 96
-        y = spike_fourier(SpikeTrain(wrap(TAU_EXAMPLE + 0.2603), ALPHA_EXAMPLE), f_c)
+        assert smooth_len(OVERSAMPLE * (2 * f_c + 1)) == m and 2 * kernel1.sigma * m == 24
+        y = spike_fourier(SpikeTrain(wrap(TAU_EXAMPLE + 0.2653), ALPHA_EXAMPLE), f_c)
         j = int(np.argmax(np.abs(eval_grid(pointwise_mul(y, kernel2.spectrum()), m))))
-        on_grid = (j + 96) / m
+        on_grid = (j + 24) / m
         assert wrap_dist(j / m, on_grid) > 2 * kernel1.sigma
         calls = []
 
