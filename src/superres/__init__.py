@@ -19,7 +19,6 @@ from .peaks import PeakConfig, PeakResult, find_peaks
 from .refine import (
     BoxConstraint,
     DegenerateDictionaryError,
-    DictionaryMatrix,
     NewtonConfig,
     SolveReport,
     build_G,

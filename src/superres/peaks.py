@@ -1,7 +1,7 @@
 """Greedy initialization: iterative peak picking on the filtered measurement.
 
-The measurement spectrum is multiplied by the kernel coefficients (circular
-convolution in time), the magnitude of the result is scanned on a grid
+The measurement's half band l = 0 .. f_C is multiplied by the kernel coefficients
+(circular convolution in time), the magnitude of the result is scanned on a grid
 (OVERSAMPLE * N points rounded up to a 5-smooth FFT length, set by N alone), and
 its local maxima are selected greedily and polished by Newton steps on its
 derivative. The grid only finds the local maxima and ranks them, by the vertex
@@ -15,7 +15,7 @@ candidates that follow it in value order, up to the picks still open, with one
 2 sigma of the peak are erased so nearby lobes of the same spike cannot be
 picked again, and a polish that slides back that close to an earlier pick is
 dropped. One binary search over positions (`_near`) serves both tests. Phase 2's
-re-seed runs the same scan (`greedy_scan`) on its residual.
+re-seed runs the same scan (`greedy_scan`) on its residual's half band.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .slepian import SlepianKernel
-from .spectral import (Spectrum, block_sum, blocks, eval_grid, half_band, pointwise_mul,
-                       smooth_len)
+from .spectral import Spectrum, block_sum, blocks, half_band, smooth_len
 
 NEWTON_STEPS = 4  # at most; quadratic convergence: from a parabola vertex (< 0.1 cell
 # off) to below 1e-12
@@ -64,11 +63,11 @@ class PeakResult:
     iterations: int
 
 
-def _derivative_blocks(z: Spectrum) -> np.ndarray:
-    """The half-band coefficient rows of z, z' and z'' in `blocks` form, 3 x J x B."""
-    ls, weights = half_band(z.f_c)
+def _derivative_blocks(c: np.ndarray) -> np.ndarray:
+    """From z's half band c, the coefficient rows of z, z' and z'' in `blocks` form, 3 x J x B."""
+    ls, weights = half_band(c.size - 1)
     w = 2j * np.pi * ls
-    c0 = weights * z.coeffs[z.f_c:]
+    c0 = weights * c
     c1 = w * c0  # z'
     return blocks(np.stack([c0, c1, w * c1]))
 
@@ -135,21 +134,22 @@ def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResul
     cap = math.ceil(1.0 / (2.0 * kernel.sigma))
     if cfg.max_peaks is not None:
         cap = min(cap, cfg.max_peaks)
-    return greedy_scan(pointwise_mul(y, kernel.spectrum()), kernel.sigma, cap, cfg.eta)
+    return greedy_scan(y.coeffs[y.f_c:] * kernel.ghat[y.f_c:], kernel.sigma, cap, cfg.eta)
 
 
-def greedy_scan(z: Spectrum, sigma: float, cap: int, eta: float = 0.0, taken=()) -> PeakResult:
-    """At most cap greedy picks of |z| on the grid, each polished off-grid.
+def greedy_scan(c: np.ndarray, sigma: float, cap: int, eta: float = 0.0, taken=()) -> PeakResult:
+    """At most cap picks of |z| on the grid from z's half band c, each polished off-grid.
 
     The grid has `smooth_len(OVERSAMPLE * N)` points, a fast FFT length; its local
     maxima are ranked, and compared with eta, by the value at their `_vertices`,
     and polished from there. Positions in taken are erased before the first pick
     and, like the picks, reject a polish that slides back to within 2 sigma of them.
     """
-    m = smooth_len(OVERSAMPLE * z.n)
-    az = eval_grid(z, m)
+    m = smooth_len(OVERSAMPLE * (2 * c.size - 1))
+    az = np.fft.irfft(c, m)  # z on the grid, as `spectral.eval_grid` computes it
+    az *= m
     np.abs(az, out=az)
-    zb = _derivative_blocks(z)
+    zb = _derivative_blocks(c)
     # Candidates are the grid's local maxima only: a point on the monotone skirt
     # of an erased neighborhood must not be picked ahead of a weak real spike.
     inner = az[1:-1]

@@ -26,15 +26,16 @@ r and F are direct sums over the band.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .circle import positions, separation, wrap, wrap_dist, wrap_signed
-from .peaks import greedy_scan
+from .circle import positions, separation, wrap, wrap_signed
+from .peaks import _near, greedy_scan
 from .slepian import SlepianKernel
-from .spectral import Spectrum, SpikeTrain, half_band, phasors, pointwise_mul, spike_fourier
+from .spectral import Spectrum, half_band, phasors, pointwise_mul
 
 HESS_ASYM_RTOL = 1e-8
 FEAS_TOL = 1e-12
@@ -307,9 +308,11 @@ def _prune(tau: np.ndarray, beta: np.ndarray, radius: float) -> np.ndarray:
     """
     keep = np.zeros(tau.size, dtype=bool)
     weakest = np.argmin(np.abs(beta))
-    for i in np.argsort(-np.abs(beta), kind="stable"):
-        if i != weakest and not np.any(wrap_dist(tau[i], tau[keep]) <= 2.0 * radius):
+    kept: list[float] = []  # kept atoms mod 1, sorted; `_near`'s reach 4 radius is past rounding
+    for i in np.argsort(-np.abs(beta), kind="stable").tolist():
+        if i != weakest and not _near(kept, tau[i], 2.0 * radius, 4.0 * radius):
             keep[i] = True
+            insort(kept, tau[i] % 1.0)
     return tau[keep]
 
 
@@ -323,9 +326,9 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
     MAX_RESEEDS rounds ran, a round drops the atom with the smallest |beta|
     and the weaker atom of any pair within 2 sigma1 (`_prune`), adds one pick
     per dropped atom from phase 1's greedy scan (`peaks.greedy_scan`, erasure
-    radius 2 sigma1) on phase 2's own residual
-    zhat - ghat2 sum_i beta_i e^{-2 pi i l tau_i}, with the kept atoms taken,
-    and runs Newton again in boxes around the new atoms. Returns the final
+    radius 2 sigma1) on the half band l = 0 .. f_C of phase 2's own residual
+    zhat[l] - ghat2[l] sum_i beta_i e^{-2 pi i l tau_i}, with the kept atoms
+    taken, and runs Newton again in boxes around the new atoms. Returns the final
     round's report, with its reseeds count set. This is the
     local-improvement step of ADCG (Boyd, Schiebinger and Recht, SIAM J.
     Optim. 27, 2017) and of sliding Frank-Wolfe (Denoyelle, Duval, Peyre and
@@ -333,6 +336,8 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
 
     Empty tau0 (phase 1 found no peak) gives a no_peaks report with no atoms.
     """
+    if kernel1.f_c != y.f_c or kernel2.f_c != y.f_c:
+        raise ValueError("measurement and kernel cut-off frequencies differ")
     if np.size(tau0) == 0:
         empty = np.empty(0)
         return SolveReport(tau_tilde=empty, beta=empty, f_trace=empty, grad_norm_final=0.0,
@@ -344,8 +349,8 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
         report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius))
         if report.status != STATUS_HESSIAN_NOT_PD or reseeds == MAX_RESEEDS:
             break
-        model = spike_fourier(SpikeTrain(report.tau_tilde, report.beta), y.f_c)
-        resid = Spectrum(y.f_c, zhat.coeffs - kernel2.ghat * model.coeffs)
+        model = phasors(y.f_c, -report.tau_tilde) @ report.beta
+        resid = zhat.coeffs[y.f_c:] - kernel2.ghat[y.f_c:] * model
         kept = _prune(report.tau_tilde, report.beta, radius)
         dropped = report.tau_tilde.size - kept.size
         pick = greedy_scan(resid, radius, dropped, taken=kept).tau0

@@ -4,9 +4,12 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
+import hypothesis
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import fixed_quad
 
 import superres.refine
@@ -869,6 +872,36 @@ class TestSolvePhase2:
         assert result.reseeds >= 1
         BoxConstraint(result.centres, kernel1.sigma)
 
+    @pytest.mark.parametrize("which", ["kernel1", "kernel2"])
+    def test_kernel_from_another_band_raises(self, kernel2, example, which):
+        # A kernel1 at f_c = 40 sized the boxes by its sigma, 1.5 / 81, and the
+        # solve still reported converged.
+        y, tau0, kernel1 = example
+        kernels = {"kernel1": kernel1, "kernel2": kernel2}
+        kernels[which] = build_kernel(40, kernels[which].c)
+        with pytest.raises(ValueError, match="cut-off frequencies differ"):
+            solve_phase2(y, tau0, kernels["kernel1"], kernels["kernel2"])
+
+    def test_reseed_rounds_build_no_spectrum(self, monkeypatch):
+        # This input re-seeds, and each round scans its residual as an array: zhat
+        # is the one Spectrum a solve builds, phase 1 included.
+        y = load_spectrum_csv(Path(__file__).parent / "data" / "close_pair_after_newton.csv")
+        kernel1, kernel2 = build_kernel(F_C, 1.5), build_kernel(F_C, 2.25)
+        for kernel in (kernel1, kernel2):
+            kernel.spectrum()  # built once per kernel and cached: outside the count
+        built = []
+        post_init = Spectrum.__post_init__
+
+        def counted(self, real_signal):
+            built.append(self)
+            post_init(self, real_signal)
+
+        monkeypatch.setattr(Spectrum, "__post_init__", counted)
+        tau0 = find_peaks(y, kernel1, PeakConfig(max_peaks=14)).tau0
+        report = solve_phase2(y, tau0, kernel1, kernel2)
+        assert report.reseeds >= 1
+        assert len(built) == 1
+
     def test_reseed_rounds_are_bounded(self, kernel2, example, monkeypatch):
         y, tau0, kernel1 = example
         calls = []
@@ -887,6 +920,50 @@ class TestSolvePhase2:
         assert np.array_equal(result.centres, calls[-1])
         for tau in calls:
             assert tau.size == 7 and np.all(wrap_dist(tau[:-1], tau[-1]) > 2.0 * kernel1.sigma)
+
+
+def reference_prune(tau, beta, radius):
+    """The O(K^2) prune: each atom, in order of |beta|, against every kept atom."""
+    keep = np.zeros(tau.size, dtype=bool)
+    weakest = np.argmin(np.abs(beta))
+    for i in np.argsort(-np.abs(beta), kind="stable"):
+        if i != weakest and not np.any(wrap_dist(tau[i], tau[keep]) <= 2.0 * radius):
+            keep[i] = True
+    return tau[keep]
+
+
+@st.composite
+def prune_inputs(draw):
+    """Atoms in [0, 1), some exactly 2 radius from an earlier one or within 2 radius
+    of 0, with amplitudes that tie in |beta|."""
+    radius = draw(st.sampled_from([SIGMA1, 1.5 / 2001, 0.2]))
+    tau = []
+    for _ in range(draw(st.integers(1, 24))):
+        how = draw(st.sampled_from(["free", "apart", "wrap"]))
+        if how == "apart" and tau:
+            t = draw(st.sampled_from(tau)) + draw(st.sampled_from([-2.0, 2.0])) * radius
+        elif how == "wrap":
+            t = draw(st.floats(-2.0 * radius, 2.0 * radius))
+        else:
+            t = draw(st.floats(0.0, 1.0, exclude_max=True))
+        tau.append(t % 1.0 % 1.0)  # a tiny negative t first rounds to 1.0
+    amplitude = st.sampled_from([-2.0, -1.0, 1.0, 2.0]) | st.floats(-3.0, 3.0)
+    beta = draw(st.lists(amplitude, min_size=len(tau), max_size=len(tau)))
+    return np.array(tau), np.array(beta), radius
+
+
+class TestPrune:
+    @given(prune_inputs())
+    @hypothesis.example((np.array([0.4]), np.array([1.0]), SIGMA1))
+    @hypothesis.example((np.array([0.99, 0.99 + 2.0 * SIGMA1 - 1.0]), np.array([1.0, -1.0]),
+                         SIGMA1))
+    @hypothesis.example((np.array([0.3, 0.3 + 2.0 * SIGMA1, 0.3 - 2.0 * SIGMA1]),
+                         np.array([2.0, -2.0, 2.0]), SIGMA1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_reference(self, case):
+        tau, beta, radius = case
+        assert np.array_equal(superres.refine._prune(tau, beta, radius),
+                              reference_prune(tau, beta, radius))
 
 
 class TestGradientProjection:
