@@ -12,7 +12,8 @@ import numpy as np
 
 def wrap(t):
     """Reduce a position (or array of positions) modulo 1 into [0, 1)."""
-    return np.mod(t, 1.0)
+    r = np.mod(t, 1.0)
+    return r - (r == 1.0)  # a tiny negative t rounds to 1.0, which is 0.0 on the circle
 
 
 def wrap_signed(a, b):

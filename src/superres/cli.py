@@ -12,10 +12,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .experiments import (
-    EXACT_RECOVERY_ERR,
     GRAD_CHECK_RTOL,
     HESS_CHECK_RTOL,
     ConfigError,
@@ -23,6 +20,7 @@ from .experiments import (
     checked_kernel,
     gradcheck,
     run_monte_carlo,
+    summarize,
 )
 from .peaks import PeakConfig, find_peaks
 from .refine import STATUS_CONVERGED, solve_phase2
@@ -150,15 +148,11 @@ def _cmd_mc(args) -> int:
         f_c=args.fc, c1=args.c1, c2=args.c2, k=args.k, sep_min=args.sep_min,
         nu_grid=tuple(args.nu), trials=args.trials, seed=args.seed,
     )
-    records = run_monte_carlo(cfg, out_dir=args.out)
-    for nu in cfg.nu_grid:
-        errs = np.array([r.hausdorff_err for r in records if r.nu == nu])
-        rate = float(np.mean(errs < EXACT_RECOVERY_ERR))
-        print(f"nu={nu:g} median_err={np.median(errs):.3e} success_rate={rate:.3f}")
-    if args.min_success_rate is not None:
-        zero_errs = np.array([r.hausdorff_err for r in records if r.nu == cfg.nu_grid[0]])
-        if float(np.mean(zero_errs < EXACT_RECOVERY_ERR)) < args.min_success_rate:
-            return EXIT_THRESHOLD
+    summary = summarize(cfg, run_monte_carlo(cfg, out_dir=args.out))
+    for nu, median, _, rate in summary:
+        print(f"nu={nu:g} median_err={median:.3e} success_rate={rate:.3f}")
+    if args.min_success_rate is not None and summary[0][3] < args.min_success_rate:
+        return EXIT_THRESHOLD
     return EXIT_OK
 
 

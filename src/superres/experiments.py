@@ -184,10 +184,8 @@ def run_monte_carlo(cfg: ExperimentConfig, out_dir=None) -> list[TrialRecord]:
                          f"{r.reseeds},{r.runtime_ms:.3f},{r.sample_ms:.3f}\n")
         with open(out / "summary.csv", "w") as fh:
             fh.write("nu,median_err,mean_err,success_rate\n")
-            for nu in cfg.nu_grid:
-                errs = np.array([r.hausdorff_err for r in records if r.nu == nu])
-                rate = float(np.mean(errs < EXACT_RECOVERY_ERR))
-                fh.write(f"{nu:.17g},{np.median(errs):.17g},{errs.mean():.17g},{rate:.17g}\n")
+            for nu, median, mean, rate in summarize(cfg, records):
+                fh.write(f"{nu:.17g},{median:.17g},{mean:.17g},{rate:.17g}\n")
         meta = {
             "config": {k: (list(v) if isinstance(v, (tuple, list)) else v)
                        for k, v in cfg.__dict__.items()},
@@ -196,6 +194,16 @@ def run_monte_carlo(cfg: ExperimentConfig, out_dir=None) -> list[TrialRecord]:
         with open(out / "metadata.json", "w") as fh:
             json.dump(meta, fh, indent=2)
     return records
+
+
+def summarize(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> list[tuple]:
+    """(nu, median error, mean error, success rate) for each nu of cfg.nu_grid, in order;
+    a trial succeeds when its error is below EXACT_RECOVERY_ERR."""
+    rows = []
+    for nu in cfg.nu_grid:
+        errs = np.array([r.hausdorff_err for r in records if r.nu == nu])
+        rows.append((nu, np.median(errs), errs.mean(), float(np.mean(errs < EXACT_RECOVERY_ERR))))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -207,24 +215,9 @@ class GradCheckReport:
     passed: bool
 
 
-def _fd_gradient(rho, kernel, zhat, h):
-    grad = np.empty(len(rho))
-    for i in range(len(rho)):
-        e = np.zeros(len(rho))
-        e[i] = h
-        grad[i] = (objective_F(rho + e, kernel, zhat)
-                   - objective_F(rho - e, kernel, zhat)) / (2.0 * h)
-    return grad
-
-
-def _fd_hessian(rho, kernel, zhat, h):
-    hess = np.empty((len(rho), len(rho)))
-    for i in range(len(rho)):
-        e = np.zeros(len(rho))
-        e[i] = h
-        hess[:, i] = (gradient_F(rho + e, kernel, zhat)
-                      - gradient_F(rho - e, kernel, zhat)) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
+def _central_differences(f, rho, h):
+    """(f(rho + h e_i) - f(rho - h e_i)) / 2h for each i, as the last axis."""
+    return np.array([(f(rho + e) - f(rho - e)) / (2.0 * h) for e in h * np.eye(len(rho))]).T
 
 
 def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
@@ -254,11 +247,12 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
                              kernel2.spectrum())
         try:
             grad = gradient_F(rho, kernel2, zhat)
-            grad_fd = _fd_gradient(rho, kernel2, zhat, h)
+            grad_fd = _central_differences(lambda r: objective_F(r, kernel2, zhat), rho, h)
             max_grad = max(max_grad,
                            float(np.abs(grad - grad_fd).max() / np.abs(grad).max()))
             hess = hessian_F(rho, kernel2, zhat)
-            hess_fd = _fd_hessian(rho, kernel2, zhat, h)
+            hess_fd = _central_differences(lambda r: gradient_F(r, kernel2, zhat), rho, h)
+            hess_fd = 0.5 * (hess_fd + hess_fd.T)
             max_hess = max(max_hess,
                            float(np.linalg.norm(hess - hess_fd) / np.linalg.norm(hess)))
         except DegenerateDictionaryError:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from superres.circle import (
     hausdorff,
+    positions,
     separation,
     wrap,
     wrap_dist,
@@ -34,6 +35,14 @@ class TestWrap:
         assert wrap(1.25) == pytest.approx(0.25)
         assert wrap(-0.25) == pytest.approx(0.75)
         assert wrap(0.0) == 0.0
+
+    def test_wrap_stays_below_one(self):
+        # np.mod rounds -1e-20 up to 1.0; the circle calls that point 0.0
+        t = np.array([-1e-20, -0.0, 0.9999999999999999])
+        assert wrap(-1e-20) == 0.0
+        assert np.array_equal(wrap(t), [0.0, 0.0, 0.9999999999999999])
+        assert not np.signbit(wrap(t)).any()
+        assert np.array_equal(positions([-1e-20, 0.5]), [0.0, 0.5])
 
     def test_dist_examples(self):
         assert wrap_dist(0.1, 0.9) == pytest.approx(0.2)

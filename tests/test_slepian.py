@@ -13,7 +13,7 @@ from scipy.integrate import fixed_quad
 from scipy.linalg import eigh_tridiagonal, toeplitz
 
 import superres
-from superres.slepian import TOP_EIGENPAIRS, SlepianKernel, build_kernel
+from superres.slepian import SlepianKernel, build_kernel
 from superres.spectral import ells, eval_grid, eval_point
 
 GRIDS = [(20, 1.0), (20, 1.5), (20, 2.0), (50, 1.0), (50, 1.5), (50, 2.0),
@@ -199,7 +199,19 @@ class TestBuildKernel:
         assert np.abs(kernel.ghat - ghat).max() < 1e-10
         assert kernel.concentration == pytest.approx(concentration, abs=1e-12)
         assert np.array_equal(kernel.ghat, kernel.ghat[::-1])
-        assert top >= kernel.n - TOP_EIGENPAIRS
+        assert top == kernel.n - 1
+
+    @pytest.mark.parametrize("f_c", [20, 50])
+    @pytest.mark.parametrize("c", range(4, 21))
+    def test_top_eigenvector_at_large_c(self, f_c, c):
+        # Once several concentrations round to 1, only the commuting matrix's
+        # eigenvalue order still tells the top sequence from the others.
+        kernel = build_kernel(f_c, c)
+        lam = np.linalg.eigvalsh(concentration_gram(f_c, kernel.sigma))[-1]
+        values = eval_grid(kernel.spectrum(), 32 * kernel.n)
+        assert kernel.ghat.min() >= -1e-14 * kernel.ghat.max()
+        assert kernel.concentration >= lam - 1e-12
+        assert int(np.argmax(values)) == 0
 
     def test_spectrum_is_built_once(self):
         kernel = build_kernel(50, 1.5)
