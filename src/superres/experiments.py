@@ -232,7 +232,7 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
     sep = 4.0 * sigma1
     check_fit(max(GRADCHECK_K), sep)
     rng = np.random.Generator(np.random.Philox(seed))
-    h = 1e-7 * kernel2.sigma
+    h = np.finfo(float).eps ** (1 / 3) * kernel2.sigma  # balances truncation and rounding
 
     max_grad = 0.0
     max_hess = 0.0

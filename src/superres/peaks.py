@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .circle import wrap
 from .slepian import SlepianKernel
 from .spectral import Spectrum, block_sum, blocks, half_band, smooth_len
 
@@ -95,8 +96,7 @@ def _polish(zb: np.ndarray, t: np.ndarray, half_width: float) -> tuple[np.ndarra
         if not newton.any():
             break
         t = np.minimum(np.maximum(t - newton, lo), hi)
-    t %= 1.0
-    return t, np.abs(f0)
+    return wrap(t), np.abs(f0)
 
 
 def _near(points: list[float], t: float, radius: float, reach: float) -> list[int]:

@@ -13,8 +13,8 @@ The derivatives are evaluated in the frequency domain. Every inner product
 there is a Hermitian sum, so only the rows l >= 0 are kept, each weighted by
 the square root of its `spectral.half_band` weight w_l, and each product is a
 real one over the interleaved real and imaginary parts. A solve fixes
-sqrt(w) ghat2, 2 pi i l and sqrt(w) zhat once (`_Problem`). At each point
-`build_G` stacks the atoms sqrt(w) G^T and their derivatives
+sqrt(w) ghat2, 2 pi i l and sqrt(w) zhat once, for all its rounds (`_Problem`).
+At each point `build_G` stacks the atoms sqrt(w) G^T and their derivatives
 sqrt(w) (2 pi i l) G^T, with phasors from `spectral.phasors`, into one
 2K x (f_C + 1) matrix Y. With V its real view, the one product Q = V V^T holds
 the Gram matrix, G* (2 pi i l) G and -G* (2 pi i l)^2 G as its blocks, and one
@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .circle import positions, separation, wrap, wrap_signed
 from .peaks import _near, greedy_scan
 from .slepian import SlepianKernel
-from .spectral import Spectrum, half_band, phasors, pointwise_mul
+from .spectral import Spectrum, half_band, phasors
 
 HESS_ASYM_RTOL = 1e-8
 FEAS_TOL = 1e-12
@@ -63,22 +63,19 @@ class _Problem:
     one of them conjugated, is their full-band sum."""
 
     f_c: int
+    sqrt_w: np.ndarray  # sqrt(w_l)
     ghat: np.ndarray  # sqrt(w_l) ghat2[l], complex so that products with phasors need no cast
     ls: np.ndarray  # 2 pi i l
     z: np.ndarray  # sqrt(w_l) zhat[l] as interleaved real and imaginary parts, or empty
 
 
-def _real_view(zhat: Spectrum) -> np.ndarray:
-    """sqrt(w_l) zhat[l], l >= 0, as interleaved real and imaginary parts."""
-    return (np.sqrt(half_band(zhat.f_c)[1]) * zhat.coeffs[zhat.f_c:]).view(float)
-
-
-def _problem(kernel: SlepianKernel, zhat: Spectrum | None = None) -> _Problem:
-    """The problem at kernel 2 and, if given, the filtered measurement zhat."""
+def _problem(kernel: SlepianKernel, zhat: np.ndarray | None = None) -> _Problem:
+    """The problem at kernel 2 and, if given, the filtered measurement's half band zhat."""
     ls, weights = half_band(kernel.f_c)
-    return _Problem(f_c=kernel.f_c,
-                    ghat=(np.sqrt(weights) * kernel.ghat[kernel.f_c:]).astype(complex),
-                    ls=2j * np.pi * ls, z=np.empty(0) if zhat is None else _real_view(zhat))
+    sqrt_w = np.sqrt(weights)
+    return _Problem(f_c=kernel.f_c, sqrt_w=sqrt_w,
+                    ghat=(sqrt_w * kernel.ghat[kernel.f_c:]).astype(complex), ls=2j * np.pi * ls,
+                    z=np.empty(0) if zhat is None else (sqrt_w * zhat).view(float))
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ def _beta(d: DictionaryMatrix, z: np.ndarray) -> np.ndarray:
 
 def least_squares_beta(d: DictionaryMatrix, zhat: Spectrum) -> np.ndarray:
     """Amplitudes minimizing ||G beta - zhat||^2, via the Gram Cholesky factor."""
-    return _beta(d, _real_view(zhat))
+    return _beta(d, (np.sqrt(half_band(zhat.f_c)[1]) * zhat.coeffs[zhat.f_c:]).view(float))
 
 
 @dataclass(frozen=True)
@@ -198,30 +195,35 @@ def _hessian(p: _Point, w: np.ndarray) -> np.ndarray:
 
 def objective_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> float:
     """Residual energy after least-squares elimination of the amplitudes."""
-    return _evaluate(_problem(kernel, zhat), rho).f
+    return _evaluate(_problem(kernel, zhat.coeffs[zhat.f_c:]), rho).f
 
 
 def gradient_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
-    prob = _problem(kernel, zhat)
+    prob = _problem(kernel, zhat.coeffs[zhat.f_c:])
     return _gradient(prob, _evaluate(prob, rho))[0]
 
 
 def hessian_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
-    prob = _problem(kernel, zhat)
+    prob = _problem(kernel, zhat.coeffs[zhat.f_c:])
     p = _evaluate(prob, rho)
     return _hessian(p, _gradient(prob, p)[1])
 
 
 def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
                cfg: NewtonConfig = NewtonConfig()) -> SolveReport:
+    """`_newton` on the problem at kernel 2 and zhat, which must be filtered by it."""
+    return _newton(_problem(kernel, zhat.coeffs[zhat.f_c:]), tau0, box, cfg)[0]
+
+
+def _newton(prob: _Problem, tau0, box: BoxConstraint,
+            cfg: NewtonConfig) -> tuple[SolveReport, _Point]:
     """Projected Newton refinement of tau0 within the box (Bertsekas, SIAM J.
-    Control Optim. 20, 1982).
+    Control Optim. 20, 1982). Returns the report and the final point.
 
     The iterate is the offset u = tau - box.center in [-r, r]^K: the boxes are
     disjoint intervals of radius r < 1/4, so the projection is Euclidean
     clipping and step lengths are plain norms. F is 1-periodic in each
     position, so it is evaluated at box.center + u without wrapping.
-    zhat must already be filtered by the kernel used to build the dictionary.
 
     Step: on the free coordinates, |u_i| < r - eps with eps the last projected
     step length, v solves H v = g by Cholesky; elsewhere v_i = g_i / H_ii, or
@@ -241,7 +243,6 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         raise ValueError("infeasible point")
     eta_stop = 1e-12 * np.sqrt(u.size)
     eps = r / 2.0
-    prob = _problem(kernel, zhat)
 
     p = _evaluate(prob, box.center + u)
     f_trace = [p.f]
@@ -297,7 +298,7 @@ def run_newton(tau0, kernel: SlepianKernel, zhat: Spectrum, box: BoxConstraint,
         status=status,
         iterations=iterations,
         centres=box.center,
-    )
+    ), p
 
 
 def _prune(tau: np.ndarray, beta: np.ndarray, radius: float) -> np.ndarray:
@@ -318,21 +319,21 @@ def _prune(tau: np.ndarray, beta: np.ndarray, radius: float) -> np.ndarray:
 
 def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
                  kernel2: SlepianKernel) -> SolveReport:
-    """Phase 2 from the phase-1 picks tau0: run_newton on y filtered by kernel2,
-    in boxes of radius sigma1 around tau0, then prune-and-re-seed rounds.
+    """Phase 2 from the phase-1 picks tau0: Newton (`_newton`) in boxes of radius
+    sigma1 around tau0, then prune-and-re-seed rounds, all on one `_Problem` made
+    from zhat[l] = y[l] ghat2[l], l = 0 .. f_C (y filtered by kernel2).
 
     hessian_not_pd in practice means that phase 1 missed a weak spike and an
     atom has nothing to fit. While that is the status and fewer than
     MAX_RESEEDS rounds ran, a round drops the atom with the smallest |beta|
     and the weaker atom of any pair within 2 sigma1 (`_prune`), adds one pick
     per dropped atom from phase 1's greedy scan (`peaks.greedy_scan`, erasure
-    radius 2 sigma1) on the half band l = 0 .. f_C of phase 2's own residual
-    zhat[l] - ghat2[l] sum_i beta_i e^{-2 pi i l tau_i}, with the kept atoms
-    taken, and runs Newton again in boxes around the new atoms. Returns the final
-    round's report, with its reseeds count set. This is the
-    local-improvement step of ADCG (Boyd, Schiebinger and Recht, SIAM J.
-    Optim. 27, 2017) and of sliding Frank-Wolfe (Denoyelle, Duval, Peyre and
-    Soubies, Inverse Problems 36, 2019).
+    radius 2 sigma1) on the residual zhat - G beta of Newton's final point
+    (its r / sqrt(w)), with the kept atoms taken, and runs Newton again in
+    boxes around the new atoms. Returns the final round's report, with its
+    reseeds count set. This is the local-improvement step of ADCG (Boyd,
+    Schiebinger and Recht, SIAM J. Optim. 27, 2017) and of sliding Frank-Wolfe
+    (Denoyelle, Duval, Peyre and Soubies, Inverse Problems 36, 2019).
 
     Empty tau0 (phase 1 found no peak) gives a no_peaks report with no atoms.
     """
@@ -342,18 +343,16 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
         empty = np.empty(0)
         return SolveReport(tau_tilde=empty, beta=empty, f_trace=empty, grad_norm_final=0.0,
                            status=STATUS_NO_PEAKS, iterations=0, centres=empty)
-    zhat = pointwise_mul(y, kernel2.spectrum())
+    prob = _problem(kernel2, y.coeffs[y.f_c:] * kernel2.ghat[y.f_c:])
     radius = kernel1.sigma
     centres = tau0
     for reseeds in range(MAX_RESEEDS + 1):
-        report = run_newton(centres, kernel2, zhat, BoxConstraint(centres, radius))
+        report, p = _newton(prob, centres, BoxConstraint(centres, radius), NewtonConfig())
         if report.status != STATUS_HESSIAN_NOT_PD or reseeds == MAX_RESEEDS:
             break
-        model = phasors(y.f_c, -report.tau_tilde) @ report.beta
-        resid = zhat.coeffs[y.f_c:] - kernel2.ghat[y.f_c:] * model
         kept = _prune(report.tau_tilde, report.beta, radius)
         dropped = report.tau_tilde.size - kept.size
-        pick = greedy_scan(resid, radius, dropped, taken=kept).tau0
+        pick = greedy_scan(p.r.view(complex) / prob.sqrt_w, radius, dropped, taken=kept).tau0
         if not pick.size:
             break
         centres = np.append(kept, pick)

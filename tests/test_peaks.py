@@ -105,6 +105,14 @@ class TestBasicCases:
         with pytest.raises(ValueError, match="cut-off"):
             find_peaks(y, kernel50, PeakConfig())
 
+    @pytest.mark.parametrize("max_peaks", [1, None], ids=["capped", "uncapped"])
+    def test_spike_at_zero_is_picked_at_zero(self, max_peaks):
+        # The polish ends a hair below 0 here, and t % 1.0 rounded it to 1.0.
+        y = spike_fourier(SpikeTrain([0.0], [1.0]), 40)
+        tau0 = find_peaks(y, build_kernel(40, 1.5), PeakConfig(max_peaks=max_peaks)).tau0
+        assert np.all((tau0 >= 0.0) & (tau0 < 1.0))
+        assert tau0[0] == 0.0
+
     def test_iteration_cap_without_max_peaks(self, kernel50):
         # eta = 0 never triggers the threshold stop, but the pick count is
         # still bounded because erasure disks of radius 2 sigma cannot overlap

@@ -380,7 +380,7 @@ class TestFullBandOracle:
         # product of two stacks is bounded by the product of their norms
         # (Cauchy-Schwarz), so that bound is the scale: glg's diagonal is 0.
         for kernel, zhat, rho in cases:
-            prob = superres.refine._problem(kernel, zhat)
+            prob = superres.refine._problem(kernel, zhat.coeffs[kernel.f_c:])
             point = superres.refine._evaluate(prob, rho)
             w = superres.refine._gradient(prob, point)[1]
             q, k = point.d.Q, rho.size
@@ -759,6 +759,17 @@ class TestRunNewton:
         assert report.grad_norm_final == float(np.linalg.norm(gradient(prob, last)[0]))
 
 
+def newton_stub(report_of):
+    """A stand-in for `refine._newton` from report_of(tau) -> SolveReport. Its final
+    point holds the report's amplitudes and their residual, as `_evaluate` forms it."""
+    def stub(prob, tau, box, cfg):
+        report = report_of(tau)
+        d = build_G(report.tau_tilde, prob)
+        r = prob.z - report.beta @ d.V[: report.beta.size]
+        return report, superres.refine._Point(d=d, beta=report.beta, r=r, f=float(r @ r))
+    return stub
+
+
 class TestSolvePhase2:
     @pytest.fixture()
     def example(self):
@@ -822,13 +833,13 @@ class TestSolvePhase2:
         assert wrap_dist(j / m, on_grid) > 2 * kernel1.sigma
         calls = []
 
-        def keep_in_place(tau, *args):
+        def keep_in_place(tau):
             calls.append(tau)
             return SolveReport(tau_tilde=tau, beta=np.where(tau == on_grid, 2e-12, 1e-12),
                                f_trace=np.array([0.0]), grad_norm_final=0.0,
                                status="hessian_not_pd", iterations=1, centres=tau)
 
-        monkeypatch.setattr(superres.refine, "run_newton", keep_in_place)
+        monkeypatch.setattr(superres.refine, "_newton", newton_stub(keep_in_place))
         result = solve_phase2(y, np.array([on_grid, wrap(on_grid + 0.5)]), kernel1, kernel2)
         assert result.reseeds == MAX_RESEEDS
         gap = (wrap_dist(calls[1][1], on_grid) - 2 * kernel1.sigma) * m
@@ -839,7 +850,7 @@ class TestSolvePhase2:
         y, tau0, kernel1 = example
         calls = []
 
-        def close_pair(tau, *args):
+        def close_pair(tau):
             calls.append(tau)
             moved = tau.copy()
             if len(calls) == 1:  # atoms 1 and 2 end 1.5 sigma1 apart
@@ -849,7 +860,7 @@ class TestSolvePhase2:
                                status="hessian_not_pd" if len(calls) == 1 else "converged",
                                iterations=1, centres=tau)
 
-        monkeypatch.setattr(superres.refine, "run_newton", close_pair)
+        monkeypatch.setattr(superres.refine, "_newton", newton_stub(close_pair))
         result = solve_phase2(y, tau0, kernel1, kernel2)
         # atom 0 has the smallest |beta|, atom 1 the smaller of the pair: two picks replace them
         assert result.reseeds == 1 and len(calls) == 2
@@ -883,8 +894,8 @@ class TestSolvePhase2:
             solve_phase2(y, tau0, kernels["kernel1"], kernels["kernel2"])
 
     def test_reseed_rounds_build_no_spectrum(self, monkeypatch):
-        # This input re-seeds, and each round scans its residual as an array: zhat
-        # is the one Spectrum a solve builds, phase 1 included.
+        # This input re-seeds. Phase 1 filters y's half band as an array, phase 2
+        # does the same for its one problem, and each round scans Newton's residual.
         y = load_spectrum_csv(Path(__file__).parent / "data" / "close_pair_after_newton.csv")
         kernel1, kernel2 = build_kernel(F_C, 1.5), build_kernel(F_C, 2.25)
         for kernel in (kernel1, kernel2):
@@ -900,19 +911,52 @@ class TestSolvePhase2:
         tau0 = find_peaks(y, kernel1, PeakConfig(max_peaks=14)).tau0
         report = solve_phase2(y, tau0, kernel1, kernel2)
         assert report.reseeds >= 1
-        assert len(built) == 1
+        assert built == []
+
+    def test_reseed_scans_newtons_residual_of_one_problem(self, monkeypatch):
+        y = load_spectrum_csv(Path(__file__).parent / "data" / "close_pair_after_newton.csv")
+        kernel1, kernel2 = build_kernel(F_C, 1.5), build_kernel(F_C, 2.25)
+        tau0 = find_peaks(y, kernel1, PeakConfig(max_peaks=14)).tau0
+        problem, newton, scan = (superres.refine._problem, superres.refine._newton,
+                                 superres.refine.greedy_scan)
+        problems, reports, scanned = [], [], []
+
+        def counted_problem(*args):
+            problems.append(problem(*args))
+            return problems[-1]
+
+        def recorded_newton(*args):
+            out = newton(*args)
+            reports.append(out[0])
+            return out
+
+        def recorded_scan(c, *args, **kwargs):
+            scanned.append(c)
+            return scan(c, *args, **kwargs)
+
+        monkeypatch.setattr(superres.refine, "_problem", counted_problem)
+        monkeypatch.setattr(superres.refine, "_newton", recorded_newton)
+        monkeypatch.setattr(superres.refine, "greedy_scan", recorded_scan)
+        report = solve_phase2(y, tau0, kernel1, kernel2)
+        assert report.reseeds >= 1 and len(problems) == 1
+        assert len(scanned) >= report.reseeds
+        zhat = pointwise_mul(y, kernel2.spectrum()).coeffs[F_C:]
+        for round_report, c in zip(reports, scanned):
+            model = spike_fourier(SpikeTrain(round_report.tau_tilde, round_report.beta), F_C)
+            oracle = zhat - kernel2.ghat[F_C:] * model.coeffs[F_C:]
+            assert np.abs(c - oracle).max() <= 1e-12 * np.abs(zhat).max()
 
     def test_reseed_rounds_are_bounded(self, kernel2, example, monkeypatch):
         y, tau0, kernel1 = example
         calls = []
 
-        def never_pd(tau, *args):
+        def never_pd(tau):
             calls.append(tau)
             return SolveReport(tau_tilde=tau, beta=np.arange(1.0, tau.size + 1),
                                f_trace=np.array([0.0]), grad_norm_final=0.0,
                                status="hessian_not_pd", iterations=1, centres=tau)
 
-        monkeypatch.setattr(superres.refine, "run_newton", never_pd)
+        monkeypatch.setattr(superres.refine, "_newton", newton_stub(never_pd))
         result = solve_phase2(y, tau0, kernel1, kernel2)
         assert result.reseeds == MAX_RESEEDS and len(calls) == MAX_RESEEDS + 1
         # each round drops the smallest |beta|, which sits first, and appends one centre

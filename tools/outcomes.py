@@ -11,21 +11,28 @@ UNCAPPED instances of each pool also run an uncapped find_peaks. One CSV
 row per run gives the workload, seed, index, scan (`K` or `all`), status,
 Newton iterations, re-seeds, phase-1 iterations, a sha256 of the bytes of
 the picks and peak values (`phase1_sha256`) and one of tau and beta
-(`phase2_sha256`). So two trees that write the same file made bit-identical
-outcomes, and a change that moves only phase 2's rounding shows in the last
-column alone.
+(`phase2_sha256`), then tau and beta themselves, space-separated at 17
+significant digits. So two trees that write the same file made bit-identical
+outcomes, and a change that moves only phase 2's rounding shows in
+`phase2_sha256` and in tau and beta alone.
 
 The `mc` entry runs `run_trial`, as `superres mc` does, on
 trial_seed_for(ExperimentConfig(), i, t) for nu = MC_NU[i] and the first
 MC_TRIALS trials t; --seeds does not apply to it. Its rows have the trial seed
-in `seed`, t in `index`, the status and re-seeds, and in `phase2_sha256` a
-sha256 of tau_init, tau_estimate and the Hausdorff error. So a change to the
+in `seed`, t in `index`, the status and re-seeds, in `phase2_sha256` a
+sha256 of tau_init, tau_estimate and the Hausdorff error, and tau_estimate in
+`tau` (`beta` is empty). So a change to the
 instance sampling or the measurement (`sample_instance`, `spike_fourier`,
 `synth_noise`, `add`) shows there, although the pools are built without them.
 
---against FILE prints every row that differs from FILE, then how many rows
-differ in each column and a count per change of status, and exits 1 when any
-row differs. The library is imported from ../src, never from an installed copy.
+--against FILE prints every row that differs from FILE in a column other than
+tau and beta, then how many rows differ in each column and a count per change
+of status, and exits 1 when any row differs. Over the rows present in both
+files with tau (beta) of one length in each, it then prints the largest wrap
+distance between old and new tau and the largest max|new beta - old beta| /
+max|old beta|. A FILE without the tau and beta columns is compared on the
+other columns alone. The library is imported from ../src, never from an
+installed copy.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ for var in THREAD_VARS:
 import numpy as np  # noqa: E402
 
 from inputs import make_pool  # noqa: E402
+from superres.circle import wrap_dist  # noqa: E402
 from superres.experiments import (  # noqa: E402
     ExperimentConfig,
     cached_kernel,
@@ -60,8 +68,14 @@ from superres.peaks import PeakConfig, find_peaks  # noqa: E402
 from superres.refine import solve_phase2  # noqa: E402
 
 COLUMNS = ("workload", "seed", "index", "scan", "status", "newton_iterations", "reseeds",
-           "phase1_iterations", "phase1_sha256", "phase2_sha256")
+           "phase1_iterations", "phase1_sha256", "phase2_sha256", "tau", "beta")
 KEY = COLUMNS[:4]
+COMPARED = COLUMNS[len(KEY):-2]  # tau and beta are measured as distances instead
+EMPTY = dict.fromkeys(COLUMNS[len(KEY):], "")
+DISTANCES = {  # old and new values of a row -> how far they moved
+    "tau": lambda a, b: wrap_dist(a, b).max(),
+    "beta": lambda a, b: np.abs(b - a).max() / np.abs(a).max(),
+}
 UNCAPPED = 300
 MC_NU = (0.0, 0.05)
 MC_TRIALS = 600
@@ -74,16 +88,19 @@ def _sha(arrays) -> str:
     return h.hexdigest()
 
 
+def _digits(a) -> str:
+    """An array as space-separated floats that read back bit for bit."""
+    return " ".join(f"{v:.17g}" for v in np.asarray(a, dtype=float))
+
+
 def outcome(y, kernel1, kernel2, max_peaks) -> dict:
     """The outcome columns of one solve (max_peaks set) or one uncapped scan."""
     try:
         peaks = find_peaks(y, kernel1, PeakConfig(max_peaks=max_peaks))
     except ValueError:
-        return {"status": "error", "newton_iterations": "", "reseeds": "",
-                "phase1_iterations": "", "phase1_sha256": "", "phase2_sha256": ""}
-    row = {"status": "", "newton_iterations": "", "reseeds": "",
-           "phase1_iterations": peaks.iterations,
-           "phase1_sha256": _sha([peaks.tau0, peaks.peak_values]), "phase2_sha256": ""}
+        return {**EMPTY, "status": "error"}
+    row = {**EMPTY, "phase1_iterations": peaks.iterations,
+           "phase1_sha256": _sha([peaks.tau0, peaks.peak_values])}
     if max_peaks is not None:
         try:
             report = solve_phase2(y, peaks.tau0, kernel1, kernel2)
@@ -92,7 +109,8 @@ def outcome(y, kernel1, kernel2, max_peaks) -> dict:
         else:
             row.update(status=report.status, newton_iterations=report.iterations,
                        reseeds=report.reseeds,
-                       phase2_sha256=_sha([report.tau_tilde, report.beta]))
+                       phase2_sha256=_sha([report.tau_tilde, report.beta]),
+                       tau=_digits(report.tau_tilde), beta=_digits(report.beta))
     return row
 
 
@@ -101,10 +119,10 @@ def run_mc():
     for i, nu in enumerate(MC_NU):
         for t in range(MC_TRIALS):
             rec = run_trial(cfg, trial_seed_for(cfg, i, t), nu)
-            yield {"workload": "mc", "seed": rec.seed, "index": t, "scan": "K",
-                   "status": rec.status, "newton_iterations": "", "reseeds": rec.reseeds,
-                   "phase1_iterations": "", "phase1_sha256": "",
-                   "phase2_sha256": _sha([rec.tau_init, rec.tau_estimate, rec.hausdorff_err])}
+            yield {**EMPTY, "workload": "mc", "seed": rec.seed, "index": t, "scan": "K",
+                   "status": rec.status, "reseeds": rec.reseeds,
+                   "phase2_sha256": _sha([rec.tau_init, rec.tau_estimate, rec.hausdorff_err]),
+                   "tau": _digits(rec.tau_estimate)}
 
 
 def run(workloads, seeds):
@@ -125,33 +143,45 @@ def run(workloads, seeds):
 
 def compare(rows: list[dict], path: str) -> int:
     """Print the rows that differ from those in path, then how many differ in each
-    column and the changes of status."""
+    column, the changes of status and how far tau and beta moved."""
     with open(path, newline="") as fh:
         old = {tuple(r[c] for c in KEY): r for r in csv.DictReader(fh)}
     changes: Counter = Counter()
     columns: Counter = Counter()
+    moved = dict.fromkeys(DISTANCES, 0.0)
+    measured: Counter = Counter()
     differ = 0
     for row in rows:
-        new = {c: str(row[c]) for c in COLUMNS}
-        before = old.pop(tuple(new[c] for c in KEY), None)
+        new = {c: str(row[c]) for c in KEY + COMPARED}
+        full = old.pop(tuple(new[c] for c in KEY), None)
+        before = None if full is None else {c: full[c] for c in KEY + COMPARED}
+        for c, distance in DISTANCES.items():
+            if full is None or not full.get(c) or not row[c]:
+                continue
+            a, b = (np.array(v.split(), dtype=float) for v in (full[c], row[c]))
+            if a.size == b.size:
+                measured[c] += 1
+                moved[c] = max(moved[c], float(distance(a, b)))
         if before == new:
             continue
         differ += 1
         print(f"{','.join(new[c] for c in KEY)}: {before} -> {new}")
-        columns.update(c for c in COLUMNS[len(KEY):] if before is None or before.get(c) != new[c])
+        columns.update(c for c in COMPARED if before is None or before[c] != new[c])
         if before is None or before["status"] != new["status"]:
             changes[(before or {}).get("status", "absent"), new["status"]] += 1
     for key in old:
         differ += 1
         print(f"{','.join(key)}: only in {path}")
-        columns.update(COLUMNS[len(KEY):])
+        columns.update(COMPARED)
         changes[old[key]["status"], "absent"] += 1
     print(f"{differ} of {len(rows)} rows differ")
-    for c in COLUMNS[len(KEY):]:
+    for c in COMPARED:
         print(f"  {c}: {columns[c]}")
     print("status changes:")
     for (a, b), n in sorted(changes.items()):
         print(f"  {a or '-'} -> {b or '-'}: {n}")
+    print(f"largest tau wrap distance: {moved['tau']:.3g} over {measured['tau']} rows")
+    print(f"largest |delta beta| / max|beta|: {moved['beta']:.3g} over {measured['beta']} rows")
     return 1 if differ else 0
 
 
