@@ -18,6 +18,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     checked_kernel,
+    checked_kernel1,
     gradcheck,
     run_monte_carlo,
     summarize,
@@ -126,7 +127,7 @@ def _cmd_solve(args) -> int:
     y = _load_input(args)
     cfg = _peak_config(args)
     c2 = args.c2 if args.c2 is not None else 1.5 * args.c1
-    kernel1 = checked_kernel(args.fc, args.c1, "--c1")
+    kernel1 = checked_kernel1(args.fc, args.c1, "--c1")
     kernel2 = checked_kernel(args.fc, c2, "--c2")
     peaks = find_peaks(y, kernel1, cfg)
     report = solve_phase2(y, peaks.tau0, kernel1, kernel2)

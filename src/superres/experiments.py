@@ -19,7 +19,8 @@ import numpy as np
 
 from .circle import hausdorff, wrap
 from .peaks import PeakConfig, find_peaks
-from .refine import DegenerateDictionaryError, gradient_F, hessian_F, objective_F, solve_phase2
+from .refine import (BoxConstraint, DegenerateDictionaryError, gradient_F, hessian_F,
+                     objective_F, solve_phase2)
 from .slepian import SlepianKernel, build_kernel
 from .spectral import SpikeTrain, add, pointwise_mul, spike_fourier, synth_noise
 
@@ -56,7 +57,7 @@ class ExperimentConfig:
         if any(nu < 0 for nu in self.nu_grid):
             raise ConfigError("nu must be >= 0")
         check_seed(self.seed)
-        checked_kernel(self.f_c, self.c1, "c1")
+        checked_kernel1(self.f_c, self.c1, "c1")
         checked_kernel(self.f_c, self.c2, "c2")
 
 
@@ -67,12 +68,12 @@ class TrialRecord:
     hausdorff_err: float
     k_tilde: int
     status: str
-    reseeds: int  # prune-and-re-seed rounds in phase 2
+    reseeds: int  # re-seed rounds in phase 2
     runtime_ms: float  # the whole trial, sampling included
     sample_ms: float  # instance, its spectrum and the noise
     tau_estimate: np.ndarray = field(default_factory=lambda: np.array([]))
     tau_true: np.ndarray = field(default_factory=lambda: np.array([]))
-    # box centres of phase 2's final round (the phase-1 picks if it did not run)
+    # phase 2's final box centres: phase-1 and re-seed picks (the phase-1 picks if it did not run)
     tau_init: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
@@ -87,6 +88,17 @@ def checked_kernel(f_c: int, c: float, name: str) -> SlepianKernel:
         return cached_kernel(f_c, c)
     except ValueError as exc:
         raise ConfigError(f"{name} = {c:g} at f_c = {f_c}: {exc}") from exc
+
+
+def checked_kernel1(f_c: int, c1: float, name: str) -> SlepianKernel:
+    """`checked_kernel`, whose sigma1 must also pass `BoxConstraint`'s radius rule."""
+    kernel1 = checked_kernel(f_c, c1, name)
+    try:
+        BoxConstraint(np.zeros(1), kernel1.sigma)
+    except ValueError as exc:
+        raise ConfigError(f"{name} = {c1:g} at f_c = {f_c}, sigma1 = {kernel1.sigma:.3g}: "
+                          f"phase 2's box {exc}") from exc
+    return kernel1
 
 
 def check_fit(k: int, sep_min: float) -> None:
@@ -227,7 +239,7 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")
     check_seed(seed)
-    sigma1 = checked_kernel(f_c, c1, "c1").sigma
+    sigma1 = checked_kernel1(f_c, c1, "c1").sigma
     kernel2 = checked_kernel(f_c, c2, "c2")
     sep = 4.0 * sigma1
     check_fit(max(GRADCHECK_K), sep)

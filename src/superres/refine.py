@@ -26,14 +26,13 @@ r and F are direct sums over the band.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .circle import positions, separation, wrap, wrap_signed
-from .peaks import _near, greedy_scan
+from .peaks import greedy_scan
 from .slepian import SlepianKernel
 from .spectral import Spectrum, half_band, phasors
 
@@ -71,6 +70,8 @@ class _Problem:
 
 def _problem(kernel: SlepianKernel, zhat: np.ndarray | None = None) -> _Problem:
     """The problem at kernel 2 and, if given, the filtered measurement's half band zhat."""
+    if zhat is not None and len(zhat) != kernel.f_c + 1:
+        raise ValueError("measurement and kernel cut-off frequencies differ")
     ls, weights = half_band(kernel.f_c)
     sqrt_w = np.sqrt(weights)
     return _Problem(f_c=kernel.f_c, sqrt_w=sqrt_w,
@@ -118,7 +119,7 @@ class SolveReport:
     status: str
     iterations: int
     centres: np.ndarray  # the box centres, in the order of tau_tilde
-    reseeds: int = 0  # prune-and-re-seed rounds before this run (`solve_phase2`)
+    reseeds: int = 0  # re-seed rounds before this run (`solve_phase2`)
 
 
 def build_G(rho, kernel: SlepianKernel | _Problem) -> DictionaryMatrix:
@@ -301,39 +302,23 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
     ), p
 
 
-def _prune(tau: np.ndarray, beta: np.ndarray, radius: float) -> np.ndarray:
-    """tau without its smallest-|beta| atom, then without the smaller-|beta| atom
-    of every pair within 2 radius: the rest, in their order, are valid box centres.
-
-    A hessian_not_pd run can end with two atoms that close.
-    """
-    keep = np.zeros(tau.size, dtype=bool)
-    weakest = np.argmin(np.abs(beta))
-    kept: list[float] = []  # kept atoms mod 1, sorted; `_near`'s reach 4 radius is past rounding
-    for i in np.argsort(-np.abs(beta), kind="stable").tolist():
-        if i != weakest and not _near(kept, tau[i], 2.0 * radius, 4.0 * radius):
-            keep[i] = True
-            insort(kept, tau[i] % 1.0)
-    return tau[keep]
-
-
 def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
                  kernel2: SlepianKernel) -> SolveReport:
     """Phase 2 from the phase-1 picks tau0: Newton (`_newton`) in boxes of radius
-    sigma1 around tau0, then prune-and-re-seed rounds, all on one `_Problem` made
-    from zhat[l] = y[l] ghat2[l], l = 0 .. f_C (y filtered by kernel2).
+    sigma1 around tau0, then re-seed rounds, all on one `_Problem` made from
+    zhat[l] = y[l] ghat2[l], l = 0 .. f_C (y filtered by kernel2).
 
     hessian_not_pd in practice means that phase 1 missed a weak spike and an
     atom has nothing to fit. While that is the status and fewer than
     MAX_RESEEDS rounds ran, a round drops the atom with the smallest |beta|
-    and the weaker atom of any pair within 2 sigma1 (`_prune`), adds one pick
-    per dropped atom from phase 1's greedy scan (`peaks.greedy_scan`, erasure
-    radius 2 sigma1) on the residual zhat - G beta of Newton's final point
-    (its r / sqrt(w)), with the kept atoms taken, and runs Newton again in
-    boxes around the new atoms. Returns the final round's report, with its
-    reseeds count set. This is the local-improvement step of ADCG (Boyd,
-    Schiebinger and Recht, SIAM J. Optim. 27, 2017) and of sliding Frank-Wolfe
-    (Denoyelle, Duval, Peyre and Soubies, Inverse Problems 36, 2019).
+    and runs Newton again, each kept atom from its final position in its own
+    box, plus a new box around one pick of phase 1's greedy scan
+    (`peaks.greedy_scan`) on Newton's residual zhat - G beta (its r / sqrt(w)),
+    more than 2 sigma1 from every kept centre and atom. So every box centre is
+    a phase-1 or a re-seed pick, and no two boxes overlap. Returns the final
+    round's report, with its reseeds count set. This is the local-improvement
+    step of ADCG (Boyd, Schiebinger and Recht, SIAM J. Optim. 27, 2017) and of
+    sliding Frank-Wolfe (Denoyelle, Duval, Peyre and Soubies, Inverse Problems 36, 2019).
 
     Empty tau0 (phase 1 found no peak) gives a no_peaks report with no atoms.
     """
@@ -345,15 +330,16 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
                            status=STATUS_NO_PEAKS, iterations=0, centres=empty)
     prob = _problem(kernel2, y.coeffs[y.f_c:] * kernel2.ghat[y.f_c:])
     radius = kernel1.sigma
-    centres = tau0
+    centres = tau = tau0
     for reseeds in range(MAX_RESEEDS + 1):
-        report, p = _newton(prob, centres, BoxConstraint(centres, radius), NewtonConfig())
+        report, p = _newton(prob, tau, BoxConstraint(centres, radius), NewtonConfig())
         if report.status != STATUS_HESSIAN_NOT_PD or reseeds == MAX_RESEEDS:
             break
-        kept = _prune(report.tau_tilde, report.beta, radius)
-        dropped = report.tau_tilde.size - kept.size
-        pick = greedy_scan(p.r.view(complex) / prob.sqrt_w, radius, dropped, taken=kept).tau0
+        keep = np.arange(report.beta.size) != np.argmin(np.abs(report.beta))
+        centres, tau = report.centres[keep], report.tau_tilde[keep]
+        pick = greedy_scan(p.r.view(complex) / prob.sqrt_w, radius, 1,
+                           taken=np.append(centres, tau)).tau0
         if not pick.size:
             break
-        centres = np.append(kept, pick)
+        centres, tau = np.append(centres, pick), np.append(tau, pick)
     return replace(report, reseeds=reseeds)

@@ -105,7 +105,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(trials=0)
 
-    @pytest.mark.parametrize("field,value", [("k", 0), ("sep_min", -0.5), ("c1", 60),
+    # c1 = 30 builds a kernel, but its sigma1 = 30 / 101 is too wide for phase 2's boxes
+    @pytest.mark.parametrize("field,value", [("k", 0), ("sep_min", -0.5), ("c1", 60), ("c1", 30),
                                              ("c2", -1), ("f_c", 0), ("seed", -1)])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -325,6 +326,10 @@ class TestCli:
         got = np.sort(payload["tau0"])
         assert np.abs(got - TAU_EXAMPLE).max() <= 0.001
 
+    def test_phase1_takes_a_c1_too_wide_for_phase_2(self, example_csv, capsys):
+        assert main(["phase1", "--input", example_csv, "--fc", "50", "--c1", "30"]) == 0
+        assert json.loads(capsys.readouterr().out)["k_tilde"] == 1
+
     def test_phase1_fc_mismatch(self, example_csv, capsys):
         assert main(["phase1", "--input", example_csv, "--fc", "20",
                      "--c1", "1.5"]) == 1
@@ -452,10 +457,15 @@ class TestCli:
         ["gradcheck", "--c1", "10", "--n-points", "3"],  # 7 spikes 4 sigma1 apart overfill
         ["mc", "--seed", "-1", "--trials", "1"],
         ["gradcheck", "--seed", "-1", "--n-points", "1"],
+        # sigma1 = 30 / 101 is a phase-1 kernel but too wide for phase 2's boxes
+        ["solve", "--input", "EXAMPLE", "--fc", "50", "--c1", "30"],
+        ["mc", "--c1", "30", "--trials", "3", "--nu", "0"],
+        ["gradcheck", "--c1", "30", "--n-points", "1"],
     ], ids=["oversample", "k", "trials", "overfull", "nu", "sep_min", "n_points",
             "mc_c1", "mc_c2", "mc_fc", "kernel_c", "kernel_sigma", "kernel_fc", "kernel_grid",
             "phase1_c1", "solve_c1", "solve_c2", "gradcheck_c1", "gradcheck_c2",
-            "gradcheck_overfull", "mc_seed", "gradcheck_seed"])
+            "gradcheck_overfull", "mc_seed", "gradcheck_seed", "solve_box_c1", "mc_box_c1",
+            "gradcheck_box_c1"])
     def test_out_of_range_setting_is_usage_error(self, argv, example_csv, capsys):
         err = usage_error([example_csv if a == "EXAMPLE" else a for a in argv], capsys)
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,16 +4,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
-import hypothesis
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import fixed_quad
 
 import superres.refine
-from superres.circle import separation, wrap, wrap_dist, wrap_signed
+from superres.circle import hausdorff, separation, wrap, wrap_dist, wrap_signed
 from superres.peaks import OVERSAMPLE, PeakConfig, find_peaks
 from superres.refine import (
     FEAS_TOL,
@@ -760,10 +757,11 @@ class TestRunNewton:
 
 
 def newton_stub(report_of):
-    """A stand-in for `refine._newton` from report_of(tau) -> SolveReport. Its final
-    point holds the report's amplitudes and their residual, as `_evaluate` forms it."""
+    """A stand-in for `refine._newton` from report_of(tau) -> SolveReport. The report's
+    centres are the box's, as `_newton` reports them, and its final point holds the
+    report's amplitudes and their residual, as `_evaluate` forms it."""
     def stub(prob, tau, box, cfg):
-        report = report_of(tau)
+        report = replace(report_of(tau), centres=box.center)
         d = build_G(report.tau_tilde, prob)
         r = prob.z - report.beta @ d.V[: report.beta.size]
         return report, superres.refine._Point(d=d, beta=report.beta, r=r, f=float(r @ r))
@@ -846,27 +844,34 @@ class TestSolvePhase2:
         assert calls[1][0] == on_grid and 0 < gap < 0.05
         BoxConstraint(result.centres, kernel1.sigma)
 
-    def test_reseed_drops_the_weaker_atom_of_a_close_pair(self, kernel2, example, monkeypatch):
-        y, tau0, kernel1 = example
+    def test_reseed_keeps_both_atoms_of_a_close_pair(self, kernel2, example, monkeypatch):
+        # Boxes 0 and 1 are 2.5 sigma1 apart, and Newton ends their atoms 1.5 sigma1
+        # apart, each inside its own box. Only the weakest atom (2) is replaced:
+        # the pair keeps its phase-1 boxes and round 2 starts from where it ended.
+        y, _, kernel1 = example
+        sigma1 = kernel1.sigma
+        tau0 = np.array([0.1, 0.1 + 2.5 * sigma1, 0.5, 0.8])
+        first = tau0 + np.array([0.5, -0.5, 0.0, 0.0]) * sigma1
         calls = []
 
         def close_pair(tau):
             calls.append(tau)
-            moved = tau.copy()
-            if len(calls) == 1:  # atoms 1 and 2 end 1.5 sigma1 apart
-                moved[2] = wrap(moved[1] + 1.5 * kernel1.sigma)
-            return SolveReport(tau_tilde=moved, beta=np.arange(1.0, tau.size + 1),
-                               f_trace=np.array([0.0]), grad_norm_final=0.0,
+            return SolveReport(tau_tilde=first if len(calls) == 1 else tau,
+                               beta=np.array([3.0, 2.0, 1.0, 4.0]), f_trace=np.array([0.0]),
+                               grad_norm_final=0.0,
                                status="hessian_not_pd" if len(calls) == 1 else "converged",
                                iterations=1, centres=tau)
 
         monkeypatch.setattr(superres.refine, "_newton", newton_stub(close_pair))
         result = solve_phase2(y, tau0, kernel1, kernel2)
-        # atom 0 has the smallest |beta|, atom 1 the smaller of the pair: two picks replace them
         assert result.reseeds == 1 and len(calls) == 2
-        assert calls[1].size == 7
-        assert np.array_equal(calls[1][:5], np.append(wrap(tau0[1] + 1.5 * kernel1.sigma), tau0[3:]))
-        BoxConstraint(result.centres, kernel1.sigma)
+        assert np.array_equal(calls[1][:3], first[[0, 1, 3]])
+        assert np.array_equal(result.centres[:3], tau0[[0, 1, 3]])
+        pick = result.centres[3]
+        assert calls[1][3] == pick
+        kept = np.append(tau0[[0, 1, 3]], first[[0, 1, 3]])
+        assert np.all(wrap_dist(kept, pick) > 2.0 * sigma1)
+        BoxConstraint(result.centres, sigma1)
 
     def test_close_pair_after_newton_does_not_raise(self):
         # make_pool("noisy", 2, 600) #520 of the benchmark (f_c = 50, K = 14, nu = 0.1):
@@ -883,6 +888,49 @@ class TestSolvePhase2:
         assert result.reseeds >= 1
         BoxConstraint(result.centres, kernel1.sigma)
 
+    def test_every_box_centre_is_a_phase1_or_reseed_pick(self, monkeypatch):
+        # The input of the test above: its close pair keeps both boxes, and the
+        # solve ends converged after one round.
+        y = load_spectrum_csv(Path(__file__).parent / "data" / "close_pair_after_newton.csv")
+        kernel1, kernel2 = build_kernel(F_C, 1.5), build_kernel(F_C, 2.25)
+        tau0 = find_peaks(y, kernel1, PeakConfig(max_peaks=14)).tau0
+        newton, scan = superres.refine._newton, superres.refine.greedy_scan
+        boxes, picks = [], [tau0]
+
+        def recorded_newton(prob, tau, box, cfg):
+            boxes.append(box.center)
+            return newton(prob, tau, box, cfg)
+
+        def recorded_scan(*args, **kwargs):
+            result = scan(*args, **kwargs)
+            picks.append(result.tau0)
+            return result
+
+        monkeypatch.setattr(superres.refine, "_newton", recorded_newton)
+        monkeypatch.setattr(superres.refine, "greedy_scan", recorded_scan)
+        report = solve_phase2(y, tau0, kernel1, kernel2)
+        assert report.reseeds >= 1 and len(boxes) == report.reseeds + 1
+        assert np.array_equal(report.centres, boxes[-1])
+        for centres in boxes:
+            assert np.isin(centres, np.concatenate(picks)).all()
+        assert report.status == STATUS_CONVERGED
+
+    def test_reseed_beside_kept_atoms_recovers_exactly(self):
+        # make_pool("clean", 4, 3000, 50, 14, 0.04, 0.0) #1610 of the benchmark: it
+        # re-seeds 4 times, and ends hessian_not_pd when a round's scan takes only
+        # the kept box centres and not the kept atoms as well.
+        y = load_spectrum_csv(Path(__file__).parent / "data" / "reseed_beside_kept_atoms.csv")
+        truth = [0.32378377375465706, 0.3875489373191346, 0.4486192478215176,
+                 0.49118812446494464, 0.5700379187579592, 0.6461006438318461,
+                 0.7039271289203824, 0.8067116254017977, 0.9284553932611724,
+                 0.0388669074263257, 0.11445782294280549, 0.1833083497197845,
+                 0.22456809922679666, 0.2711058381683005]
+        kernel1, kernel2 = build_kernel(F_C, 1.5), build_kernel(F_C, 2.25)
+        tau0 = find_peaks(y, kernel1, PeakConfig(max_peaks=14)).tau0
+        report = solve_phase2(y, tau0, kernel1, kernel2)
+        assert report.status == STATUS_CONVERGED and report.reseeds >= 1
+        assert hausdorff(report.tau_tilde, truth) < 1e-12
+
     @pytest.mark.parametrize("which", ["kernel1", "kernel2"])
     def test_kernel_from_another_band_raises(self, kernel2, example, which):
         # A kernel1 at f_c = 40 sized the boxes by its sigma, 1.5 / 81, and the
@@ -892,6 +940,15 @@ class TestSolvePhase2:
         kernels[which] = build_kernel(40, kernels[which].c)
         with pytest.raises(ValueError, match="cut-off frequencies differ"):
             solve_phase2(y, tau0, kernels["kernel1"], kernels["kernel2"])
+
+    @pytest.mark.parametrize("entry", [objective_F, gradient_F, hessian_F, run_newton])
+    def test_zhat_from_another_band_raises(self, kernel2, example, entry):
+        # zhat's half band has 51 coefficients, a kernel at f_c = 40 has 41
+        y, tau0, kernel1 = example
+        zhat = pointwise_mul(y, kernel2.spectrum())
+        args = (BoxConstraint(tau0, kernel1.sigma),) if entry is run_newton else ()
+        with pytest.raises(ValueError, match="cut-off frequencies differ"):
+            entry(tau0, build_kernel(40, kernel2.c), zhat, *args)
 
     def test_reseed_rounds_build_no_spectrum(self, monkeypatch):
         # This input re-seeds. Phase 1 filters y's half band as an array, phase 2
@@ -964,50 +1021,6 @@ class TestSolvePhase2:
         assert np.array_equal(result.centres, calls[-1])
         for tau in calls:
             assert tau.size == 7 and np.all(wrap_dist(tau[:-1], tau[-1]) > 2.0 * kernel1.sigma)
-
-
-def reference_prune(tau, beta, radius):
-    """The O(K^2) prune: each atom, in order of |beta|, against every kept atom."""
-    keep = np.zeros(tau.size, dtype=bool)
-    weakest = np.argmin(np.abs(beta))
-    for i in np.argsort(-np.abs(beta), kind="stable"):
-        if i != weakest and not np.any(wrap_dist(tau[i], tau[keep]) <= 2.0 * radius):
-            keep[i] = True
-    return tau[keep]
-
-
-@st.composite
-def prune_inputs(draw):
-    """Atoms in [0, 1), some exactly 2 radius from an earlier one or within 2 radius
-    of 0, with amplitudes that tie in |beta|."""
-    radius = draw(st.sampled_from([SIGMA1, 1.5 / 2001, 0.2]))
-    tau = []
-    for _ in range(draw(st.integers(1, 24))):
-        how = draw(st.sampled_from(["free", "apart", "wrap"]))
-        if how == "apart" and tau:
-            t = draw(st.sampled_from(tau)) + draw(st.sampled_from([-2.0, 2.0])) * radius
-        elif how == "wrap":
-            t = draw(st.floats(-2.0 * radius, 2.0 * radius))
-        else:
-            t = draw(st.floats(0.0, 1.0, exclude_max=True))
-        tau.append(t % 1.0 % 1.0)  # a tiny negative t first rounds to 1.0
-    amplitude = st.sampled_from([-2.0, -1.0, 1.0, 2.0]) | st.floats(-3.0, 3.0)
-    beta = draw(st.lists(amplitude, min_size=len(tau), max_size=len(tau)))
-    return np.array(tau), np.array(beta), radius
-
-
-class TestPrune:
-    @given(prune_inputs())
-    @hypothesis.example((np.array([0.4]), np.array([1.0]), SIGMA1))
-    @hypothesis.example((np.array([0.99, 0.99 + 2.0 * SIGMA1 - 1.0]), np.array([1.0, -1.0]),
-                         SIGMA1))
-    @hypothesis.example((np.array([0.3, 0.3 + 2.0 * SIGMA1, 0.3 - 2.0 * SIGMA1]),
-                         np.array([2.0, -2.0, 2.0]), SIGMA1))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_pairwise_reference(self, case):
-        tau, beta, radius = case
-        assert np.array_equal(superres.refine._prune(tau, beta, radius),
-                              reference_prune(tau, beta, radius))
 
 
 class TestGradientProjection:

@@ -27,12 +27,13 @@ instance sampling or the measurement (`sample_instance`, `spike_fourier`,
 
 --against FILE prints every row that differs from FILE in a column other than
 tau and beta, then how many rows differ in each column and a count per change
-of status, and exits 1 when any row differs. Over the rows present in both
-files with tau (beta) of one length in each, it then prints the largest wrap
-distance between old and new tau and the largest max|new beta - old beta| /
-max|old beta|. A FILE without the tau and beta columns is compared on the
-other columns alone. The library is imported from ../src, never from an
-installed copy.
+of status, and exits 1 when any row differs. Then, per workload, over the rows
+present in both files with the same status and tau (beta) of one length in
+each, it prints the largest wrap distance between old and new tau and the
+largest max|new beta - old beta| / max|old beta|: a solve whose status changed
+is counted as such and would hide every rounding-level move if measured too.
+A FILE without the tau and beta columns is compared on the other columns
+alone. The library is imported from ../src, never from an installed copy.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def compare(rows: list[dict], path: str) -> int:
         old = {tuple(r[c] for c in KEY): r for r in csv.DictReader(fh)}
     changes: Counter = Counter()
     columns: Counter = Counter()
-    moved = dict.fromkeys(DISTANCES, 0.0)
+    moved: Counter = Counter()  # (workload, column) -> the largest distance
     measured: Counter = Counter()
     differ = 0
     for row in rows:
@@ -156,12 +157,13 @@ def compare(rows: list[dict], path: str) -> int:
         full = old.pop(tuple(new[c] for c in KEY), None)
         before = None if full is None else {c: full[c] for c in KEY + COMPARED}
         for c, distance in DISTANCES.items():
-            if full is None or not full.get(c) or not row[c]:
+            if full is None or full["status"] != new["status"] or not full.get(c) or not row[c]:
                 continue
             a, b = (np.array(v.split(), dtype=float) for v in (full[c], row[c]))
             if a.size == b.size:
-                measured[c] += 1
-                moved[c] = max(moved[c], float(distance(a, b)))
+                key = new["workload"], c
+                measured[key] += 1
+                moved[key] = max(moved[key], float(distance(a, b)))
         if before == new:
             continue
         differ += 1
@@ -180,8 +182,11 @@ def compare(rows: list[dict], path: str) -> int:
     print("status changes:")
     for (a, b), n in sorted(changes.items()):
         print(f"  {a or '-'} -> {b or '-'}: {n}")
-    print(f"largest tau wrap distance: {moved['tau']:.3g} over {measured['tau']} rows")
-    print(f"largest |delta beta| / max|beta|: {moved['beta']:.3g} over {measured['beta']} rows")
+    print("on rows whose status did not change:")
+    for w in dict.fromkeys(r["workload"] for r in rows):
+        print(f"  {w}: largest tau wrap distance {moved[w, 'tau']:.3g} over "
+              f"{measured[w, 'tau']} rows, largest |delta beta| / max|beta| "
+              f"{moved[w, 'beta']:.3g} over {measured[w, 'beta']} rows")
     return 1 if differ else 0
 
 
