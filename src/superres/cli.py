@@ -95,7 +95,7 @@ def _peak_config(args) -> PeakConfig:
 def _cmd_kernel(args) -> int:
     kernel = checked_kernel(args.fc, args.c, "--c")
     try:  # before any output, so a grid too coarse writes nothing
-        values = eval_grid(kernel.spectrum(), args.grid) if args.grid else ()
+        values = eval_grid(kernel.spectrum(), args.grid) if args.grid is not None else ()
     except ValueError as exc:
         raise ConfigError(f"--grid {args.grid}: {exc}") from exc
     csv = "l,ghat\n" + "".join(f"{l},{g:.17g}\n" for l, g in zip(ells(kernel.f_c), kernel.ghat))
@@ -104,7 +104,7 @@ def _cmd_kernel(args) -> int:
             fh.write(csv)
     else:
         sys.stdout.write(csv)
-    if args.grid:
+    if args.grid is not None:
         print("t,g")
         for k, v in enumerate(values):
             print(f"{k / args.grid:.17g},{v:.17g}")

@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if any(nu < 0 for nu in self.nu_grid):
             raise ConfigError("nu must be >= 0")
+        if len(set(self.nu_grid)) < len(self.nu_grid):
+            raise ConfigError("nu values must differ")
         check_seed(self.seed)
         checked_kernel1(self.f_c, self.c1, "c1")
         checked_kernel(self.f_c, self.c2, "c2")

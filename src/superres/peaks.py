@@ -9,13 +9,13 @@ value of the parabola through each and its two neighbours; the polish, which
 starts at that vertex, supplies the off-grid accuracy. It reads z, z' and z''
 from their coefficient rows in `spectral.blocks` form, built once per scan, at
 J + B exponentials (about 2 sqrt(N)) per point and step. It runs in batches: the
-first candidate reached without a polish is polished together with the alive
+first candidate reached without a polish is polished together with the free
 candidates that follow it in value order, up to the picks still open, with one
-`block_sum` call per Newton step. After each selection the local maxima within
-2 sigma of the peak are erased so nearby lobes of the same spike cannot be
-picked again, and a polish that slides back that close to an earlier pick is
-dropped. One binary search over positions (`_near`) serves both tests. Phase 2's
-re-seed runs the same scan (`greedy_scan`) on its residual's half band.
+`block_sum` call per Newton step. A local maximum or a polished point within 2
+sigma of a pick is passed over, so other lobes of the same spike are not picked.
+Candidates carry no flags: `_near` tests only a position's two cyclic neighbours
+among the sorted picks, found by one bisection. Phase 2's re-seed runs the same
+scan (`greedy_scan`) on its residual's half band.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ class PeakConfig:
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
+        if self.max_peaks is not None and self.max_peaks < 1:
+            raise ValueError("max_peaks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -99,21 +101,18 @@ def _polish(zb: np.ndarray, t: np.ndarray, half_width: float) -> tuple[np.ndarra
     return wrap(t), np.abs(f0)
 
 
-def _near(points: list[float], t: float, radius: float, reach: float) -> list[int]:
-    """Indices k of the sorted points in [0, 1) with wrap_dist(points[k], t) <= radius,
-    in `wrap_dist`'s arithmetic. Only the points found by bisection within reach of
-    t mod 1 or its images one period away are tested: reach > radius + rounding."""
-    c = t % 1.0
-    near = []
-    for a0, a1 in ((-1.0 - reach, -1.0 + reach), (-reach, reach), (1.0 - reach, 1.0 + reach)):
-        lo, hi = c + a0, c + a1
-        if hi <= 0.0 or lo >= 1.0:  # the arc holds no point of [0, 1)
-            continue
-        for k in range(bisect_left(points, lo), bisect_left(points, hi)):
-            d = abs(points[k] - t) % 1.0
-            if min(d, 1.0 - d) <= radius:
-                near.append(k)
-    return near
+def _near(points: list[float], t: float, radius: float) -> bool:
+    """Whether some point of the sorted points in [0, 1) lies within radius of t in
+    [0, 1), in `wrap_dist`'s arithmetic. The nearest point on the circle is one of t's
+    two cyclic neighbours, found by one bisection, so only those two are tested."""
+    if not points:
+        return False
+    k = bisect_left(points, t)
+    for p in (points[k - 1], points[k % len(points)]):
+        d = abs(p - t) % 1.0
+        if min(d, 1.0 - d) <= radius:
+            return True
+    return False
 
 
 def _vertices(az: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +141,8 @@ def greedy_scan(c: np.ndarray, sigma: float, cap: int, eta: float = 0.0, taken=(
 
     The grid has `smooth_len(OVERSAMPLE * N)` points, a fast FFT length; its local
     maxima are ranked, and compared with eta, by the value at their `_vertices`,
-    and polished from there. Positions in taken are erased before the first pick
-    and, like the picks, reject a polish that slides back to within 2 sigma of them.
+    and polished from there. A candidate, and a polished point, is kept while both its
+    cyclic neighbours among the picks and taken positions are more than 2 sigma away.
     """
     m = smooth_len(OVERSAMPLE * (2 * c.size - 1))
     az = np.fft.irfft(c, m)  # z on the grid, as `spectral.eval_grid` computes it
@@ -151,33 +150,23 @@ def greedy_scan(c: np.ndarray, sigma: float, cap: int, eta: float = 0.0, taken=(
     np.abs(az, out=az)
     zb = _derivative_blocks(c)
     # Candidates are the grid's local maxima only: a point on the monotone skirt
-    # of an erased neighborhood must not be picked ahead of a weak real spike.
+    # of a pick's neighborhood must not be picked ahead of a weak real spike.
     inner = az[1:-1]
     is_max = np.empty(m, dtype=bool)
     np.greater_equal(inner, az[:-2], out=is_max[1:-1])
     is_max[1:-1] &= inner >= az[2:]
     is_max[0] = az[0] >= az[-1] and az[0] >= az[1]
     is_max[-1] = az[-1] >= az[-2] and az[-1] >= az[0]
-    cand = np.flatnonzero(is_max)  # in position order, so an erased arc is found by bisection
+    cand = np.flatnonzero(is_max)
     pos = (cand / m).tolist()
     vertex, peak = _vertices(az, cand)
     start = vertex / m
-    # Erasure only removes candidates, so one sort orders every later choice.
+    # Picks only rule candidates out, so one sort orders every later choice.
     order = np.argsort(-peak, kind="stable").tolist()  # ties: smallest index first
     above = int(np.count_nonzero(peak > eta))  # order[:above] may still be picked
     peak = peak.tolist()
-    alive = [True] * len(pos)
     two_sigma = 2.0 * sigma
-    reach = two_sigma + 1.0 / m  # past any rounding of `_near`'s exact test
-    occupied: list[float] = []  # picks and taken, mod 1, sorted
-
-    def occupy(t: float) -> None:
-        insort(occupied, t % 1.0)
-        for k in _near(pos, t, two_sigma, reach):
-            alive[k] = False
-
-    for t in np.atleast_1d(taken).tolist():
-        occupy(float(t))
+    occupied = np.sort(wrap(np.atleast_1d(taken))).tolist()  # taken and picks, sorted
     tau0: list[float] = []
     values: list[float] = []
     polished: dict[int, tuple[float, float]] = {}
@@ -185,25 +174,26 @@ def greedy_scan(c: np.ndarray, sigma: float, cap: int, eta: float = 0.0, taken=(
     for n, i in enumerate(order):
         if len(tau0) >= cap:
             break
-        if not alive[i]:
+        if _near(occupied, pos[i], two_sigma):
             continue
         iterations += 1
         if peak[i] <= eta:
             break
         if i not in polished:
-            # i and the next alive candidates that could still be picked, in one call;
+            # i and the next free candidates that could still be picked, in one call;
             # all lie after i in order, so none is polished twice. Uncapped scans
-            # erase many of them before they are reached, hence POLISH_BATCH.
+            # rule many of them out before they are reached, hence POLISH_BATCH.
             width = min(cap - len(tau0), POLISH_BATCH)
-            batch = list(islice((k for k in order[n:above] if alive[k]), width))
+            batch = list(islice((k for k in order[n:above]
+                                 if not _near(occupied, pos[k], two_sigma)), width))
             ts, vals = _polish(zb, start[batch], 1.0 / m)
             polished.update(zip(batch, zip(ts.tolist(), vals.tolist())))
         t, value = polished[i]
-        if _near(occupied, t, two_sigma, reach):
+        if _near(occupied, t, two_sigma):
             continue  # the polish slid back onto an earlier pick's (or a taken) lobe
         tau0.append(t)
         values.append(value)
-        occupy(t)
+        insort(occupied, t)
 
     return PeakResult(k_tilde=len(tau0), tau0=np.asarray(tau0), peak_values=np.asarray(values),
                       iterations=iterations)

@@ -60,6 +60,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="eta"):
             PeakConfig(eta=-0.1)
 
+    @pytest.mark.parametrize("max_peaks", [0, -3])
+    def test_max_peaks_floor(self, max_peaks):
+        with pytest.raises(ValueError, match="max_peaks must be >= 1"):
+            PeakConfig(max_peaks=max_peaks)
+
 
 class TestWorkedExample:
     def test_seven_spikes_recovered(self, kernel50):
@@ -403,13 +408,24 @@ class TestNear:
            st.sampled_from([2, 50, 1000]), st.floats(0.5, 2.4))
     @settings(max_examples=300, deadline=None)
     def test_matches_wrap_dist(self, points, t, f_c, c):
-        n = 2 * f_c + 1
-        two_sigma = 2.0 * c / n
-        reach = two_sigma + 1.0 / smooth_len(OVERSAMPLE * n)
+        two_sigma = 2.0 * c / (2 * f_c + 1)
         # points on the boundary of t's 2 sigma arc too, on both sides of the wrap
         points = sorted(points + [(t + two_sigma) % 1.0, (t - two_sigma) % 1.0])
-        expected = np.flatnonzero(wrap_dist(np.array(points), t) <= two_sigma)
-        assert sorted(set(peaks._near(points, t, two_sigma, reach))) == expected.tolist()
+        expected = bool((wrap_dist(np.array(points), t) <= two_sigma).any())
+        assert peaks._near(points, t, two_sigma) is expected
+
+    @pytest.mark.parametrize("points, t, expected", [
+        ([], 0.5, False),
+        ([0.3], 0.5, False),
+        ([0.3], 0.35, True),
+        ([0.98], 0.01, True),  # across the wrap, t before every point
+        ([0.01], 0.98, True),  # across the wrap, t after every point
+        ([0.1, 0.4, 0.9], 0.4, True),  # t is a point
+        ([0.0], 0.0, True),
+        ([0.1, 0.4, 0.9], 0.65, False),
+    ])
+    def test_examples(self, points, t, expected):
+        assert peaks._near(points, t, 0.06) is expected
 
 
 class TestGridRule:

@@ -116,6 +116,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nu must be >= 0"):
             ExperimentConfig(nu_grid=(0.0, -0.1))
 
+    def test_repeated_noise_level_rejected(self):
+        with pytest.raises(ConfigError, match="nu values must differ"):
+            ExperimentConfig(nu_grid=(0.0, 0.2, -0.0))
+
 
 class TestSampling:
     def test_separation_enforced(self):
@@ -439,6 +443,7 @@ class TestCli:
         ["mc", "--trials", "0"],
         ["mc", "--k", "30", "--sep-min", "0.05"],
         ["mc", "--nu", "0.0", "-0.1"],
+        ["mc", "--trials", "4", "--nu", "0", "0.2", "0"],  # summary rows are per nu value
         ["mc", "--sep-min", "-0.5"],
         ["gradcheck", "--n-points", "0"],
         # kernel widths and cut-offs: build_kernel's range rule, as a usage error
@@ -449,6 +454,7 @@ class TestCli:
         ["kernel", "--fc", "1", "--c", "2.0"],
         ["kernel", "--fc", "0", "--c", "1.5"],
         ["kernel", "--fc", "50", "--c", "1.5", "--grid", "10"],
+        ["kernel", "--fc", "50", "--c", "1.5", "--grid", "0"],
         ["phase1", "--input", "EXAMPLE", "--fc", "50", "--c1", "60"],
         ["solve", "--input", "EXAMPLE", "--fc", "50", "--c1", "60"],
         ["solve", "--input", "EXAMPLE", "--fc", "50", "--c1", "1.5", "--c2", "90"],
@@ -461,8 +467,9 @@ class TestCli:
         ["solve", "--input", "EXAMPLE", "--fc", "50", "--c1", "30"],
         ["mc", "--c1", "30", "--trials", "3", "--nu", "0"],
         ["gradcheck", "--c1", "30", "--n-points", "1"],
-    ], ids=["oversample", "k", "trials", "overfull", "nu", "sep_min", "n_points",
+    ], ids=["oversample", "k", "trials", "overfull", "nu", "nu_repeated", "sep_min", "n_points",
             "mc_c1", "mc_c2", "mc_fc", "kernel_c", "kernel_sigma", "kernel_fc", "kernel_grid",
+            "kernel_grid_zero",
             "phase1_c1", "solve_c1", "solve_c2", "gradcheck_c1", "gradcheck_c2",
             "gradcheck_overfull", "mc_seed", "gradcheck_seed", "solve_box_c1", "mc_box_c1",
             "gradcheck_box_c1"])
