@@ -19,8 +19,8 @@ import numpy as np
 
 from .circle import hausdorff, wrap
 from .peaks import PeakConfig, find_peaks
-from .refine import (BoxConstraint, DegenerateDictionaryError, gradient_F, hessian_F,
-                     objective_F, solve_phase2)
+from .refine import (BoxConstraint, DegenerateDictionaryError, _evaluate, _gradient, _hessian,
+                     _problem, solve_phase2)
 from .slepian import SlepianKernel, build_kernel
 from .spectral import SpikeTrain, add, pointwise_mul, spike_fourier, synth_noise
 
@@ -259,13 +259,16 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
         rho = wrap(tau0 + rng.uniform(-0.9 * sigma1, 0.9 * sigma1, k))
         zhat = pointwise_mul(spike_fourier(SpikeTrain(positions, amplitudes), f_c),
                              kernel2.spectrum())
+        prob = _problem(kernel2, zhat.coeffs[f_c:])  # one per point, read by every evaluation
         try:
-            grad = gradient_F(rho, kernel2, zhat)
-            grad_fd = _central_differences(lambda r: objective_F(r, kernel2, zhat), rho, h)
+            p = _evaluate(prob, rho)
+            grad, w = _gradient(prob, p)
+            grad_fd = _central_differences(lambda r: _evaluate(prob, r).f, rho, h)
             max_grad = max(max_grad,
                            float(np.abs(grad - grad_fd).max() / np.abs(grad).max()))
-            hess = hessian_F(rho, kernel2, zhat)
-            hess_fd = _central_differences(lambda r: gradient_F(r, kernel2, zhat), rho, h)
+            hess = _hessian(p, w)
+            hess_fd = _central_differences(lambda r: _gradient(prob, _evaluate(prob, r))[0],
+                                           rho, h)
             hess_fd = 0.5 * (hess_fd + hess_fd.T)
             max_hess = max(max_hess,
                            float(np.linalg.norm(hess - hess_fd) / np.linalg.norm(hess)))

@@ -84,7 +84,8 @@ def blocks(c: np.ndarray) -> np.ndarray:
 
 def block_sum(cb: np.ndarray, t) -> np.ndarray:
     """Re sum_l c[..., l] e^{2 pi i l t} for c in `blocks` form, as Re(hi^T C lo),
-    with shape t.shape + cb.shape[:-2] for a scalar or 1-D t.
+    with shape t.shape + cb.shape[:-2] for a scalar or 1-D t. `eval_point` is its one
+    caller in the library.
 
     Each point is its own matrix-vector product in one stacked `np.matmul`, never
     one matrix product across the points, so a point's bits do not depend on how

@@ -13,27 +13,14 @@ from scipy.fft import next_fast_len
 
 import superres.peaks as peaks
 from superres.circle import wrap, wrap_dist
-from superres.experiments import ExperimentConfig, sample_instance
-from superres.peaks import (
-    NEWTON_STEPS,
-    OVERSAMPLE,
-    PeakConfig,
-    PeakResult,
-    _derivative_blocks,
-    _polish,
-    find_peaks,
-    greedy_scan,
-)
+from superres.peaks import OVERSAMPLE, PeakConfig, PeakResult, find_peaks, greedy_scan
 from superres.refine import BoxConstraint, solve_phase2
 from superres.slepian import build_kernel
 from superres.spectral import (
     SpikeTrain,
     Spectrum,
     add,
-    block_sum,
     eval_grid,
-    eval_point,
-    half_band,
     load_spectrum_csv,
     pointwise_mul,
     smooth_len,
@@ -112,7 +99,7 @@ class TestBasicCases:
 
     @pytest.mark.parametrize("max_peaks", [1, None], ids=["capped", "uncapped"])
     def test_spike_at_zero_is_picked_at_zero(self, max_peaks):
-        # The polish ends a hair below 0 here, and t % 1.0 rounded it to 1.0.
+        # The vertex lies a hair below 0 here, and t % 1.0 rounds it to 1.0.
         y = spike_fourier(SpikeTrain([0.0], [1.0]), 40)
         tau0 = find_peaks(y, build_kernel(40, 1.5), PeakConfig(max_peaks=max_peaks)).tau0
         assert np.all((tau0 >= 0.0) & (tau0 < 1.0))
@@ -129,8 +116,8 @@ class TestBasicCases:
 class TestInvariances:
     def test_amplitude_scaling_leaves_selection_unchanged(self, kernel50):
         # Scaling by a power of two is exact in every operation of the scan, so
-        # the picks keep their bits. Another scale rounds the last Newton step
-        # differently, so a polished pick may move by an ulp.
+        # the picks keep their bits. Another scale rounds the vertex offset
+        # differently, so a pick may move by an ulp.
         y = spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), 50)
 
         def scan(scale):
@@ -152,12 +139,19 @@ class TestInvariances:
         )
         a = find_peaks(y, kernel50, PeakConfig(max_peaks=7))
         b = find_peaks(y_shift, kernel50, PeakConfig(max_peaks=7))
+        # The shift moves the spikes against the grid, so the vertices move by a
+        # small fraction of a cell (0.008 here); phase 2's positions shift exactly.
         moved = np.sort(wrap(a.tau0 + shift))
-        assert np.abs(moved - np.sort(b.tau0)).max() < 1e-6
+        assert np.abs(moved - np.sort(b.tau0)).max() < 0.05 / grid_len(y)
+        kernel2 = build_kernel(50, 2.25)
+        ra = solve_phase2(y, a.tau0, kernel50, kernel2)
+        rb = solve_phase2(y_shift, b.tau0, kernel50, kernel2)
+        moved = np.sort(wrap(ra.tau_tilde + shift))
+        assert np.abs(moved - np.sort(rb.tau_tilde)).max() < 1e-6
 
     def test_erasure_soundness(self, kernel50):
-        # returned peaks are pairwise separated by more than 2 sigma, polish
-        # included, so they are valid box centers
+        # returned peaks, at their vertices, are pairwise separated by more
+        # than 2 sigma, so they are valid box centers
         y = spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), 50)
         result = find_peaks(y, kernel50, PeakConfig(max_peaks=7))
         d = wrap_dist(result.tau0[:, None], result.tau0[None, :])
@@ -165,10 +159,11 @@ class TestInvariances:
         assert d[iu].min() > 2.0 * kernel50.sigma
 
     @pytest.mark.parametrize("max_peaks", [9, None])
-    def test_polish_onto_earlier_lobe_is_dropped(self, kernel50, max_peaks):
-        # A sidelobe's grid maximum lies just beyond 2 sigma of an earlier
-        # pick, and the polish slides it back to 1.99 sigma; keeping it made
-        # BoxConstraint raise.
+    def test_vertex_on_earlier_lobe_is_dropped(self, kernel50, max_peaks):
+        # The strong spike's sidelobes have grid maxima and vertices just
+        # inside 2 sigma of its pick (1.96 to 2.0 sigma). The scan tests the
+        # vertex, the position it would keep: a pick within 2 sigma of an
+        # earlier one made BoxConstraint raise.
         y = spike_fourier(SpikeTrain([0.0574, 0.2912], [10.6, 0.2]), 50)
         result = find_peaks(y, kernel50, PeakConfig(max_peaks=max_peaks))
         d = wrap_dist(result.tau0[:, None], result.tau0[None, :])
@@ -178,21 +173,15 @@ class TestInvariances:
 
     @pytest.mark.parametrize("oversample", [4, 8, 32])
     def test_polish_locates_single_spike(self, kernel50, oversample, monkeypatch):
+        # Phase 1 picks the grid parabola's vertex, a small fraction of a cell
+        # from the spike, and phase 2 polishes it to rounding.
         monkeypatch.setattr(peaks, "OVERSAMPLE", oversample)
         y = spike_fourier(SpikeTrain([0.123456], [1.0]), 50)
         result = find_peaks(y, kernel50, PeakConfig(max_peaks=1))
-        assert wrap_dist(result.tau0[0], 0.123456) <= 1e-12
-
-    def test_concavity_guard_returns_grid_point(self, kernel50):
-        # One sigma from a positive spike the filtered signal is positive and
-        # convex, so a Newton step on z' would head away from any maximum.
-        z = pointwise_mul(spike_fourier(SpikeTrain([0.5], [1.0]), 50), kernel50.spectrum())
-        t0, h = 0.5 + kernel50.sigma, 1e-4
-        assert eval_point(z, t0) > 0
-        assert eval_point(z, t0 + h) + eval_point(z, t0 - h) - 2 * eval_point(z, t0) > 0
-        t, value = _polish(_derivative_blocks(z.coeffs[z.f_c:]), np.array([t0]), 1.0 / (32 * 101))
-        assert t[0] == t0
-        assert value[0] == pytest.approx(eval_point(z, t0), rel=1e-12)
+        assert wrap_dist(result.tau0[0], 0.123456) <= 0.01 / grid_len(y)
+        report = solve_phase2(y, result.tau0, kernel50, build_kernel(50, 2.25))
+        assert report.status == "converged"
+        assert wrap_dist(report.tau_tilde[0], 0.123456) <= 1e-12
 
     def test_result_is_frozen(self, kernel50):
         y = spike_fourier(SpikeTrain([0.5], [1.0]), 50)
@@ -223,23 +212,6 @@ class TestSeededRecovery:
             assert match.max() <= sigma, f"trial {trial}"
 
 
-def direct_polish(z, t, half_width):
-    """Reference polish: one complex exp per frequency per Newton step."""
-    ls, weights = half_band(z.f_c)
-    w = 2j * np.pi * ls
-    c0 = weights * z.coeffs[z.f_c:]
-    c1 = w * c0
-    c2 = w * c1
-    lo, hi = t - half_width, t + half_width
-    for step in range(NEWTON_STEPS + 1):
-        e = np.exp(w * t)
-        f0, f1, f2 = (np.dot(c, e).real for c in (c0, c1, c2))
-        if step == NEWTON_STEPS or np.sign(f0) * f2 >= 0.0:
-            break
-        t = min(max(t - f1 / f2, lo), hi)
-    return wrap(t), abs(f0)
-
-
 def grid_len(y):
     return next_fast_len(peaks.OVERSAMPLE * y.n, real=True)
 
@@ -247,36 +219,32 @@ def grid_len(y):
 def grid_vertices(z):
     """|z| on the grid of `grid_len` points M: its local maxima and, for every grid
     point, the vertex of the parabola through it and its two neighbours, as a
-    position in [-1/(2M), 1 + 1/(2M)) and a value. A flat top keeps its grid point."""
+    position in [0, 1) and a value. A flat top keeps its grid point."""
     m = grid_len(z)
     az = np.abs(eval_grid(z, m))
     am, ap = np.roll(az, 1), np.roll(az, -1)
     den = am - 2.0 * az + ap  # <= 0 at a maximum
     x = np.divide(am - ap, 2.0 * den, out=np.zeros_like(az), where=den < 0.0)
-    return (az >= am) & (az >= ap), (np.arange(m) + x) / m, az + (ap - am) * x / 4.0
+    return (az >= am) & (az >= ap), wrap((np.arange(m) + x) / m), az + (ap - am) * x / 4.0
 
 
-def masked_scan(y, kernel, cfg, direct=False, taken=()):
+def masked_scan(y, kernel, cfg, taken=()):
     """Reference greedy scan: re-mask all M grid points and take the argmax per pick.
 
     M is scipy's fast real FFT length at or above OVERSAMPLE * N. A grid maximum is
     ranked, and compared with eta, by the value at the vertex of the parabola
-    through it and its two neighbours, and polished from that vertex, within one
-    cell. direct=True polishes with `direct_polish` instead of the library's
-    `_polish`. The grid within 2 sigma of a taken position is masked from the
-    start, and a polish that lands there is dropped.
+    through it and its two neighbours, and picked at that vertex. A grid maximum
+    whose vertex lies within 2 sigma of a taken position is masked from the start,
+    and one whose vertex lies within 2 sigma of a pick is masked by the pick.
     """
     sigma = kernel.sigma
     z = pointwise_mul(y, kernel.spectrum())
-    zb = _derivative_blocks(z.coeffs[z.f_c:])
-    m = grid_len(y)
-    grid = np.arange(m) / m
     cap = math.ceil(1.0 / (2.0 * sigma))
     if cfg.max_peaks is not None:
         cap = min(cap, cfg.max_peaks)
     alive, start, vertex = grid_vertices(z)
     for t in taken:
-        alive &= wrap_dist(grid, t) > 2.0 * sigma
+        alive &= wrap_dist(start, t) > 2.0 * sigma
     tau0, values, iterations = [], [], 0
     while len(tau0) < cap and alive.any():
         iterations += 1
@@ -284,16 +252,9 @@ def masked_scan(y, kernel, cfg, direct=False, taken=()):
         idx = int(np.argmax(masked))  # ties resolve to the smallest index
         if masked[idx] <= cfg.eta:
             break
-        if direct:
-            t, value = direct_polish(z, start[idx], 1.0 / m)
-        else:
-            t, value = (a[0] for a in _polish(zb, start[idx:idx + 1], 1.0 / m))
-        alive[idx] = False
-        if wrap_dist(t, np.concatenate([taken, tau0])).min(initial=1.0) <= 2.0 * sigma:
-            continue
-        tau0.append(float(t))
-        values.append(float(value))
-        alive &= wrap_dist(grid, t) > 2.0 * sigma
+        tau0.append(start[idx])
+        values.append(vertex[idx])
+        alive &= wrap_dist(start, start[idx]) > 2.0 * sigma
     return np.asarray(tau0), np.asarray(values), iterations
 
 
@@ -328,8 +289,8 @@ class TestCandidateScan:
     def test_matches_masked_scan_at_other_bands(self, f_c, max_peaks):
         # f_c = 2: 2 sigma = 0.6, so an erased arc is wider than half the circle;
         # N = 2001 = 3 * 23 * 29 and N = 3001 (prime): 8 N is not 5-smooth.
-        # Uncapped at f_c = 1000 (cap 667): polish batches of up to POLISH_BATCH
-        # points, some of which are erased before the scan reaches them.
+        # Uncapped at f_c = 1000 (cap 667): hundreds of picks, and most grid
+        # maxima are sidelobes that an earlier pick rules out.
         kernel = build_kernel(f_c, 1.5)
         cfg = PeakConfig(max_peaks=max_peaks)
         for trial in range(2):
@@ -427,6 +388,26 @@ class TestNear:
     def test_examples(self, points, t, expected):
         assert peaks._near(points, t, 0.06) is expected
 
+    def test_one_call_per_visited_candidate(self, monkeypatch):
+        # Uncapped at f_c = 1000: about 540 picks among thousands of grid maxima.
+        # The scan tests each candidate it reaches once, and never a candidate twice.
+        kernel = build_kernel(1000, 1.5)
+        y, z = scan_input(kernel, 0, 0.0)
+        calls = []
+        near = peaks._near
+
+        def counted(points, t, radius):
+            calls.append(t)
+            return near(points, t, radius)
+
+        monkeypatch.setattr(peaks, "_near", counted)
+        result = find_peaks(y, kernel, PeakConfig())
+        is_max, start, _ = grid_vertices(z)
+        assert result.k_tilde > 500
+        assert max(Counter(calls).values()) == 1
+        assert set(calls) <= set(start[is_max].tolist())
+        assert result.iterations <= len(calls) <= np.count_nonzero(is_max)
+
 
 class TestGridRule:
     def test_phase1_and_reseed_scan_one_grid(self, kernel50, monkeypatch):
@@ -447,109 +428,3 @@ class TestGridRule:
         report = solve_phase2(y, tau0, kernel50, kernel2)
         assert report.reseeds >= 1 and len(grids) > 1
         assert set(grids) == {smooth_len(OVERSAMPLE * y.n)}
-
-
-class TestDirectPolishOracle:
-    @pytest.mark.parametrize("f_c, trials", [(50, 20), (1000, 4)])
-    def test_picks_match_direct_exp_polish(self, f_c, trials):
-        kernel = build_kernel(f_c, 1.5)
-        cfg = PeakConfig(max_peaks=14)
-        rng = np.random.default_rng(f_c)
-        for trial in range(trials):
-            positions = rng.random(14)
-            amplitudes = rng.standard_normal(14) / np.sqrt(2 * f_c + 1)
-            y = add(spike_fourier(SpikeTrain(positions, amplitudes), f_c),
-                    synth_noise(f_c, 0.1 * (trial % 2), trial))
-            tau0, values, iterations = masked_scan(y, kernel, cfg, direct=True)
-            result = find_peaks(y, kernel, cfg)
-            assert result.iterations == iterations, f"trial {trial}"
-            assert result.k_tilde == tau0.size, f"trial {trial}"
-            assert wrap_dist(result.tau0, tau0).max() <= 1e-12, f"trial {trial}"
-            assert np.abs(result.peak_values - values).max() <= 1e-12 * values.max()
-
-
-def fixed_point_polish(z, t):
-    """Direct-exp Newton steps on z' from t until a step no longer moves it."""
-    ls, weights = half_band(z.f_c)
-    w = 2j * np.pi * ls
-    c1 = w * weights * z.coeffs[z.f_c:]
-    c2 = w * c1
-    for _ in range(50):
-        e = np.exp(w * t)
-        step = np.dot(c1, e).real / np.dot(c2, e).real
-        if t - step == t:
-            break
-        t -= step
-    return wrap(t)
-
-
-class TestPolishAccuracy:
-    @pytest.mark.parametrize("f_c, seeds", [(50, range(600, 720)), (1000, range(8))])
-    def test_picks_are_fixed_points_of_newton(self, f_c, seeds):
-        # Polished from a parabola vertex, NEWTON_STEPS steps must reach the maximum
-        # of |z| to rounding. The sample_instance draws are the clean regime (K = 14,
-        # separation 0.04); with one step fewer, the picks of seeds 611 and 705 at
-        # f_c = 50 stop 2e-12 and 1e-10 short.
-        cfg = ExperimentConfig(f_c=f_c)
-        kernel = build_kernel(f_c, 1.5)
-        for seed in seeds:
-            y = spike_fourier(sample_instance(cfg, seed), f_c)
-            z = pointwise_mul(y, kernel.spectrum())
-            result = find_peaks(y, kernel, PeakConfig(max_peaks=14))
-            assert result.k_tilde == 14
-            ref = np.array([fixed_point_polish(z, t) for t in result.tau0])
-            assert wrap_dist(result.tau0, ref).max() <= 1e-12, f"seed {seed}"
-
-
-def count_polish_work(monkeypatch):
-    """Patch `peaks` to record the points of each `block_sum` call, and the number
-    of `block_sum` calls made by each `_polish` call."""
-    evals: list[int] = []
-    polishes: list[int] = []
-
-    def counted_block_sum(cb, t):
-        evals.append(np.size(t))
-        return block_sum(cb, t)
-
-    def counted_polish(zb, t, half_width):
-        before = len(evals)
-        out = _polish(zb, t, half_width)
-        polishes.append(len(evals) - before)
-        return out
-
-    monkeypatch.setattr(peaks, "block_sum", counted_block_sum)
-    monkeypatch.setattr(peaks, "_polish", counted_polish)
-    return evals, polishes
-
-
-class TestBatchPolish:
-    @pytest.mark.parametrize("f_c", [2, 50, 1000, 1500])
-    def test_batch_equals_one_point_calls(self, f_c, monkeypatch):
-        # Random points with a clip of half a coefficient spacing: some start or
-        # land where |z| is convex, so points stop at the guard after different
-        # numbers of steps.
-        kernel = build_kernel(f_c, 1.5)
-        _, z = scan_input(kernel, f_c, 0.1)
-        zb = _derivative_blocks(z.coeffs[z.f_c:])
-        t = np.random.default_rng(f_c).random(600)
-        half_width = 0.5 / z.n
-        evals, polishes = count_polish_work(monkeypatch)
-        one = [peaks._polish(zb, t[k:k + 1], half_width) for k in range(t.size)]
-        stops = Counter(n - 1 for n in polishes)  # the step a point stopped at
-        assert {0, 1, NEWTON_STEPS} <= set(stops), stops
-        evals.clear()
-        ts, values = peaks._polish(zb, t, half_width)
-        assert np.array_equal(ts, np.concatenate([ti for ti, _ in one]))
-        assert np.array_equal(values, np.concatenate([v for _, v in one]))
-        assert len(evals) == NEWTON_STEPS + 1 and evals[0] == t.size
-
-    def test_find_peaks_polishes_in_batches(self, kernel50, monkeypatch):
-        evals, polishes = count_polish_work(monkeypatch)
-        for seed in range(20):
-            y, _ = scan_input(kernel50, seed, 0.1 * (seed % 2))
-            evals.clear()
-            polishes.clear()
-            result = find_peaks(y, kernel50, PeakConfig(max_peaks=14))
-            assert result.k_tilde == 14
-            assert max(polishes) <= NEWTON_STEPS + 1, f"seed {seed}"
-            assert len(evals) < 4 * result.k_tilde, f"seed {seed}"
