@@ -22,7 +22,7 @@ from .peaks import PeakConfig, find_peaks
 from .refine import (BoxConstraint, DegenerateDictionaryError, _evaluate, _gradient, _hessian,
                      _problem, solve_phase2)
 from .slepian import SlepianKernel, build_kernel
-from .spectral import SpikeTrain, add, pointwise_mul, spike_fourier, synth_noise
+from .spectral import SpikeTrain, add, spike_fourier, synth_noise
 
 GRAD_CHECK_RTOL = 1e-5
 HESS_CHECK_RTOL = 1e-4
@@ -257,9 +257,8 @@ def gradcheck(f_c: int = 50, c1: float = 1.5, c2: float = 2.25,
         amplitudes = rng.uniform(1.0, 10.0, k) * rng.choice([-1.0, 1.0], k)
         tau0 = wrap(positions + rng.uniform(-sigma1 / 2, sigma1 / 2, k))
         rho = wrap(tau0 + rng.uniform(-0.9 * sigma1, 0.9 * sigma1, k))
-        zhat = pointwise_mul(spike_fourier(SpikeTrain(positions, amplitudes), f_c),
-                             kernel2.spectrum())
-        prob = _problem(kernel2, zhat.coeffs[f_c:])  # one per point, read by every evaluation
+        y = spike_fourier(SpikeTrain(positions, amplitudes), f_c)
+        prob = _problem(kernel2, y.coeffs[f_c:] * kernel2.ghat[f_c:])  # read by every evaluation
         try:
             p = _evaluate(prob, rho)
             grad, w = _gradient(prob, p)

@@ -15,7 +15,6 @@ the same scan (`greedy_scan`) on its residual's half band.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Optional
@@ -81,18 +80,17 @@ def _vertices(az: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResult:
-    """Greedy peak selection with neighborhood erasure on the filtered signal."""
+    """`greedy_scan` of the filtered signal's half band, with at most cfg.max_peaks picks."""
     if y.f_c != kernel.f_c:
         raise ValueError("measurement and kernel cut-off frequencies differ")
-    cap = math.ceil(1.0 / (2.0 * kernel.sigma))
-    if cfg.max_peaks is not None:
-        cap = min(cap, cfg.max_peaks)
-    return greedy_scan(y.coeffs[y.f_c:] * kernel.ghat[y.f_c:], kernel.sigma, cap, cfg.eta)
+    return greedy_scan(y.coeffs[y.f_c:] * kernel.ghat[y.f_c:], kernel.sigma, cfg.max_peaks,
+                       cfg.eta)
 
 
-def greedy_scan(c: np.ndarray, sigma: float, cap: int, eta: float = 0.0, taken=()) -> PeakResult:
-    """At most cap picks of |z| on the grid from z's half band c, each at a grid
-    maximum's vertex.
+def greedy_scan(c: np.ndarray, sigma: float, cap: Optional[int] = None, eta: float = 0.0,
+                taken=()) -> PeakResult:
+    """At most cap picks (any number if cap is None) of |z| on the grid from z's half
+    band c, each at a grid maximum's vertex.
 
     The grid has `smooth_len(OVERSAMPLE * N)` points, a fast FFT length; its local
     maxima are ranked, and compared with eta, by the value at their `_vertices`, and
@@ -121,7 +119,7 @@ def greedy_scan(c: np.ndarray, sigma: float, cap: int, eta: float = 0.0, taken=(
     values: list[float] = []
     iterations = 0
     for t, value in zip(pos, peak[order].tolist()):
-        if len(tau0) >= cap:
+        if len(tau0) == cap:
             break
         if _near(occupied, t, two_sigma):
             continue

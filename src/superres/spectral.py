@@ -4,12 +4,12 @@ A Spectrum holds the complex Fourier coefficients of a signal band-limited
 to l in [-f_C : f_C]; coeffs[i] corresponds to frequency l = i - f_C.
 Spike trains produce such spectra; band-limited noise is synthesized with
 exact total energy; trigonometric polynomials are evaluated on grids via
-zero-padded inverse real FFT or pointwise by a direct block sum, both over
-l >= 0 only (see `half_band`).
+zero-padded inverse real FFT or pointwise by a direct sum over `phasors`,
+both over l >= 0 only (see `half_band`).
 
 Phasors e^{2 pi i l t}, l = 0 .. f_C, are built from about 2 sqrt(N)
 exponentials: with l = j B + k, B = isqrt(f_C) + 1, each is the product of
-e^{2 pi i j B t} and e^{2 pi i k t} (see `phasors` and `block_sum`).
+e^{2 pi i j B t} and e^{2 pi i k t} (see `phasors`).
 """
 
 from __future__ import annotations
@@ -46,56 +46,27 @@ def half_band(f_c: int) -> tuple[np.ndarray, np.ndarray]:
     return ls, weights
 
 
-def _split(f_c: int) -> tuple[int, int]:
-    """(J, B): l = 0 .. f_C as l = j B + k, B = isqrt(f_C) + 1, J = ceil((f_C + 1) / B)."""
-    b = math.isqrt(f_c) + 1
-    return -(-(f_c + 1) // b), b
-
-
 @lru_cache(maxsize=16)
-def _factor_freqs(j: int, b: int) -> np.ndarray:
-    """2 pi i [0, 1, .., B - 1, 0, B, .., (J - 1) B]: the lo factors' frequencies, then the hi ones'."""
-    w = 2j * np.pi * np.concatenate([np.arange(b), b * np.arange(j)])
+def _factors(f_c: int) -> tuple[int, np.ndarray]:
+    """B = isqrt(f_C) + 1 and 2 pi i [0, 1, .., B - 1, 0, B, .., (J - 1) B] with
+    J = ceil((f_C + 1) / B): the frequencies of the lo factors, then of the hi ones."""
+    b = math.isqrt(f_c) + 1
+    w = 2j * np.pi * np.concatenate([np.arange(b), b * np.arange(-(-(f_c + 1) // b))])
     w.setflags(write=False)
-    return w
+    return b, w
 
 
 def phasors(f_c: int, t) -> np.ndarray:
-    """e^{2 pi i l t[i]} at row l = 0 .. f_C, column i, as e^{2 pi i j B t} e^{2 pi i k t}
-    (see `_split`): J + B exponentials and N complex products per position.
+    """e^{2 pi i l t[i]} at row l = 0 .. f_C, column i: e^{2 pi i j B t} e^{2 pi i k t} for
+    l = j B + k (see `_factors`), so J + B exponentials and N complex products per position.
 
     The error is that of the direct exp: both are set by the rounding of the
     argument 2 pi l t.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    j, b = _split(f_c)
-    e = np.exp(np.multiply.outer(_factor_freqs(j, b), t))
+    b, w = _factors(f_c)
+    e = np.exp(np.multiply.outer(w, t))
     return (e[b:, None, :] * e[None, :b, :]).reshape(-1, t.size)[: f_c + 1]
-
-
-def blocks(c: np.ndarray) -> np.ndarray:
-    """Rows c[..., l], l = 0 .. f_C, zero-padded and reshaped to J x B blocks,
-    with l = j B + k at [..., j, k] (see `_split`), for `block_sum`."""
-    j, b = _split(c.shape[-1] - 1)
-    padded = np.zeros(c.shape[:-1] + (j * b,), dtype=c.dtype)
-    padded[..., : c.shape[-1]] = c
-    return padded.reshape(c.shape[:-1] + (j, b))
-
-
-def block_sum(cb: np.ndarray, t) -> np.ndarray:
-    """Re sum_l c[..., l] e^{2 pi i l t} for c in `blocks` form, as Re(hi^T C lo),
-    with shape t.shape + cb.shape[:-2] for a scalar or 1-D t. `eval_point` is its one
-    caller in the library.
-
-    Each point is its own matrix-vector product in one stacked `np.matmul`, never
-    one matrix product across the points, so a point's bits do not depend on how
-    many points share the call.
-    """
-    j, b = cb.shape[-2:]
-    t = np.asarray(t, dtype=float)
-    e = np.exp(t.reshape(-1, 1) * _factor_freqs(j, b))[..., None]  # W x (B + J) x 1
-    rows = np.matmul(cb.reshape(-1, b), e[:, :b])  # W x (lead * J) x 1
-    return np.matmul(rows.reshape(t.size, -1, j), e[:, b:]).real.reshape(t.shape + cb.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -203,6 +174,7 @@ def smooth_len(n: int) -> int:
 
     A real FFT of prime length can be 20x slower than one at the next such length.
     """
+    # scipy.fft.next_fast_len(n, real=True) agrees, but importing scipy.fft slows import.
     best = 1 << max(n - 1, 0).bit_length()
     p5 = 1
     while p5 < best:
@@ -224,8 +196,8 @@ def eval_grid(s: Spectrum, m: int) -> np.ndarray:
 
 
 def eval_point(s: Spectrum, t: float) -> float:
-    """Evaluate the real signal at a single position by direct summation (`block_sum`)."""
-    return float(block_sum(blocks(half_band(s.f_c)[1] * s.coeffs[s.f_c:]), t))
+    """Evaluate the real signal at a single position by direct summation over `phasors`."""
+    return float((half_band(s.f_c)[1] * s.coeffs[s.f_c:] @ phasors(s.f_c, t)).real[0])
 
 
 def save_spectrum_csv(s: Spectrum, path) -> None:

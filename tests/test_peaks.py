@@ -1,6 +1,5 @@
 """Greedy peak initialization: worked example, invariances, erasure soundness."""
 
-import math
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -106,11 +105,12 @@ class TestBasicCases:
         assert tau0[0] == 0.0
 
     def test_iteration_cap_without_max_peaks(self, kernel50):
-        # eta = 0 never triggers the threshold stop, but the pick count is
-        # still bounded because erasure disks of radius 2 sigma cannot overlap
+        # eta = 0 never triggers the threshold stop and no cap is set, but picks
+        # are more than 2 sigma apart on a circle of length 1, so there are fewer
+        # than 1 / (2 sigma) of them
         y = spike_fourier(SpikeTrain([0.5], [1.0]), 50)
         result = find_peaks(y, kernel50, PeakConfig(eta=0.0))
-        assert result.k_tilde <= int(np.ceil(1.0 / (2.0 * kernel50.sigma)))
+        assert result.k_tilde < 1.0 / (2.0 * kernel50.sigma)
 
 
 class TestInvariances:
@@ -239,9 +239,7 @@ def masked_scan(y, kernel, cfg, taken=()):
     """
     sigma = kernel.sigma
     z = pointwise_mul(y, kernel.spectrum())
-    cap = math.ceil(1.0 / (2.0 * sigma))
-    if cfg.max_peaks is not None:
-        cap = min(cap, cfg.max_peaks)
+    cap = np.inf if cfg.max_peaks is None else cfg.max_peaks
     alive, start, vertex = grid_vertices(z)
     for t in taken:
         alive &= wrap_dist(start, t) > 2.0 * sigma
@@ -308,8 +306,7 @@ class TestCandidateScan:
         z = pointwise_mul(y, kernel50.spectrum())
         taken = np.asarray(taken)
         tau0, values, iterations = masked_scan(y, kernel50, PeakConfig(), taken=taken)
-        cap = math.ceil(1.0 / (2.0 * kernel50.sigma))
-        result = greedy_scan(z.coeffs[z.f_c:], kernel50.sigma, cap, taken=taken)
+        result = greedy_scan(z.coeffs[z.f_c:], kernel50.sigma, taken=taken)
         # a pick or a taken position erases an arc across 0
         assert wrap_dist(np.concatenate([taken, tau0]), 0.0).min() < 2.0 * kernel50.sigma
         assert np.array_equal(result.tau0, tau0)
@@ -340,8 +337,7 @@ class TestGreedyScan:
     def test_without_taken_it_is_find_peaks(self, kernel50, seed, nu):
         y, z = scan_input(kernel50, seed, nu)
         result = find_peaks(y, kernel50, PeakConfig())
-        cap = math.ceil(1.0 / (2.0 * kernel50.sigma))
-        scan = greedy_scan(z.coeffs[z.f_c:], kernel50.sigma, cap)
+        scan = greedy_scan(z.coeffs[z.f_c:], kernel50.sigma)
         assert np.array_equal(scan.tau0, result.tau0)
         assert np.array_equal(scan.peak_values, result.peak_values)
         assert scan.iterations == result.iterations

@@ -1,17 +1,21 @@
 """Spike spectra, synthesized noise, grid evaluation, CSV round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
+import superres
 from superres.spectral import (
     SpikeTrain,
     Spectrum,
     add,
-    block_sum,
-    blocks,
     ells,
     eval_grid,
     eval_point,
@@ -265,9 +269,18 @@ class TestSmoothLen:
         m = 32 * (2 * f_c + 1)
         assert smooth_len(m) == next_fast_len(m, real=True)
 
+    def test_import_leaves_scipy_fft_out(self):
+        # next_fast_len is the oracle above, not the library's: importing
+        # scipy.fft would land in every cold process's set-up time.
+        code = "import sys, superres; print('scipy.fft' in sys.modules)"
+        src = str(Path(superres.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
 
 class TestPhasors:
-    # f_c = 2 and 50 leave padding in the J x B blocks; f_c = 3 and 8 are B^2 - 1.
+    # f_c = 2 and 50 leave padding in the J x B factor products; f_c = 3 and 8 are B^2 - 1.
     F_CS = [1, 2, 3, 8, 50, 1000, 4000]
     TS = np.array([-0.731, -1e-3, 0.0, 0.25, 0.5, 0.3183, 1.0 - 1e-9, np.nextafter(1.0, 0.0)])
 
@@ -279,16 +292,15 @@ class TestPhasors:
         assert np.abs(e - ref).max() <= 16 * (f_c + 1) * np.finfo(float).eps
 
     @pytest.mark.parametrize("f_c", F_CS)
-    def test_block_sum_matches_weighted_dot(self, f_c):
+    def test_eval_point_matches_full_band_dot(self, f_c):
         rng = np.random.Generator(np.random.Philox(f_c))
-        c = rng.standard_normal((3, f_c + 1)) + 1j * rng.standard_normal((3, f_c + 1))
-        cb = blocks(c)
+        half = rng.standard_normal(f_c + 1) + 1j * rng.standard_normal(f_c + 1)
+        half[0] = half[0].real
+        s = Spectrum(f_c, np.concatenate([np.conj(half[:0:-1]), half]))
         for t in self.TS:
-            ref = (c @ np.exp(2j * np.pi * np.arange(f_c + 1) * t)).real
-            got = block_sum(cb, t)
-            assert got.shape == (3,)
-            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(c).sum(axis=1))
-            assert abs(block_sum(cb[1], t) - ref[1]) <= 1e-12 * np.abs(c[1]).sum()
+            ref = full_band_point(s, t)
+            assert abs(ref.imag) <= 1e-12 * np.abs(s.coeffs).sum()
+            assert abs(eval_point(s, t) - ref.real) <= 1e-12 * np.abs(s.coeffs).sum()
 
 
 class TestCsvRoundTrip:
