@@ -9,14 +9,17 @@ compared with eta, and the vertex position is the pick. Phase 1 only estimates t
 positions roughly; phase 2's Newton refines them. A candidate whose vertex lies
 within 2 sigma of a pick is passed over, so other lobes of the same spike are not
 picked. Candidates carry no flags: `_near` tests only a position's two cyclic
-neighbours among the sorted picks, found by one bisection. Phase 2's re-seed runs
-the same scan (`greedy_scan`) on its residual's half band.
+neighbours among the sorted picks, found by one bisection. One stable sort ranks
+the candidates, which become floats in doubling batches from 2 (cap + taken): a
+capped scan converts only those it reaches. Phase 2's re-seed runs the same scan
+(`greedy_scan`) on its residual's half band.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -79,6 +82,14 @@ def _vertices(az: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return cand + x, a0 + (ap - am) * x / 4.0
 
 
+def _doubling(order: np.ndarray, size: int):
+    """order in consecutive batches of size, 2 size, 4 size, ... entries."""
+    start = 0
+    while start < order.size:
+        yield order[start:start + size]
+        start, size = start + size, 2 * size
+
+
 def find_peaks(y: Spectrum, kernel: SlepianKernel, cfg: PeakConfig) -> PeakResult:
     """`greedy_scan` of the filtered signal's half band, with at most cfg.max_peaks picks."""
     if y.f_c != kernel.f_c:
@@ -112,13 +123,15 @@ def greedy_scan(c: np.ndarray, sigma: float, cap: Optional[int] = None, eta: flo
     vertex, peak = _vertices(az, np.flatnonzero(is_max))
     # Picks only rule candidates out, so one sort orders every later choice.
     order = np.argsort(-peak, kind="stable")  # ties: smallest index first
-    pos = wrap(vertex[order] / m).tolist()
     two_sigma = 2.0 * sigma
     occupied = np.sort(wrap(np.atleast_1d(taken))).tolist()  # taken and picks, sorted
+    # Candidates become floats in batches, none empty: a capped scan reaches only a few.
+    first = order.size if cap is None else max(1, 2 * (cap + len(occupied)))
     tau0: list[float] = []
     values: list[float] = []
     iterations = 0
-    for t, value in zip(pos, peak[order].tolist()):
+    for t, value in chain.from_iterable(zip(wrap(vertex[b] / m).tolist(), peak[b].tolist())
+                                        for b in _doubling(order, first)):
         if len(tau0) == cap:
             break
         if _near(occupied, t, two_sigma):

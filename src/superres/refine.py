@@ -12,11 +12,11 @@ candidate's record becomes the next iterate's state.
 The derivatives are evaluated in the frequency domain. Every inner product
 there is a Hermitian sum, so only the rows l >= 0 are kept, each weighted by
 the square root of its `spectral.half_band` weight w_l, and each product is a
-real one over the interleaved real and imaginary parts. A solve fixes
-sqrt(w) ghat2, 2 pi i l and sqrt(w) zhat once, for all its rounds (`_Problem`).
-At each point `build_G` stacks the atoms sqrt(w) G^T and their derivatives
-sqrt(w) (2 pi i l) G^T, with phasors from `spectral.phasors`, into one
-2K x (f_C + 1) matrix Y. With V its real view, the one product Q = V V^T holds
+real one over the interleaved real and imaginary parts. Kernel 2 fixes sqrt(w)
+ghat2 and 2 pi i l (`SlepianKernel.weighted_half_band`), a solve sqrt(w) zhat
+(`_Problem`). At each point `build_G` writes the atoms sqrt(w) G^T and their
+derivatives sqrt(w) (2 pi i l) G^T, with `spectral.phasor_rows`, straight
+into one 2K x (f_C + 1) matrix Y. With V its real view, one product Q = V V^T holds
 the Gram matrix, G* (2 pi i l) G and -G* (2 pi i l)^2 G as its blocks, and one
 product of V's lower half with the residual and its derivative gives the two
 vectors the gradient and the Hessian read. The amplitudes' right-hand side,
@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .circle import positions, separation, wrap, wrap_signed
 from .peaks import greedy_scan
 from .slepian import SlepianKernel
-from .spectral import Spectrum, half_band, phasors
+from .spectral import Spectrum, half_band, phasor_rows
 
 HESS_ASYM_RTOL = 1e-8
 FEAS_TOL = 1e-12
@@ -59,7 +59,8 @@ class DegenerateDictionaryError(ValueError):
 class _Problem:
     """A phase-2 solve's fixed data on the half band l = 0 .. f_C. Rows are weighted by
     sqrt(w_l) (`spectral.half_band`), so Re sum_{l >= 0} of the product of two rows,
-    one of them conjugated, is their full-band sum."""
+    one of them conjugated, is their full-band sum. sqrt_w, ghat and ls are kernel 2's
+    read-only `weighted_half_band`, made once per kernel; only z is the solve's own."""
 
     f_c: int
     sqrt_w: np.ndarray  # sqrt(w_l)
@@ -72,10 +73,8 @@ def _problem(kernel: SlepianKernel, zhat: np.ndarray | None = None) -> _Problem:
     """The problem at kernel 2 and, if given, the filtered measurement's half band zhat."""
     if zhat is not None and len(zhat) != kernel.f_c + 1:
         raise ValueError("measurement and kernel cut-off frequencies differ")
-    ls, weights = half_band(kernel.f_c)
-    sqrt_w = np.sqrt(weights)
-    return _Problem(f_c=kernel.f_c, sqrt_w=sqrt_w,
-                    ghat=(sqrt_w * kernel.ghat[kernel.f_c:]).astype(complex), ls=2j * np.pi * ls,
+    sqrt_w, ghat, ls = kernel.weighted_half_band
+    return _Problem(f_c=kernel.f_c, sqrt_w=sqrt_w, ghat=ghat, ls=ls,
                     z=np.empty(0) if zhat is None else (sqrt_w * zhat).view(float))
 
 
@@ -125,12 +124,13 @@ class SolveReport:
 def build_G(rho, kernel: SlepianKernel | _Problem) -> DictionaryMatrix:
     """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} (l >= 0), stacked
     with its derivatives and weighted as Y, with the products Q = V V^T of its real
-    view V and the Gram factor. kernel is kernel 2 or a solve's `_Problem` at it."""
+    view V and the Gram factor. kernel is kernel 2 or a solve's `_Problem` at it. The
+    phasors are written straight into Y's rows (`spectral.phasor_rows`)."""
     prob = kernel if isinstance(kernel, _Problem) else _problem(kernel)
-    e = phasors(prob.f_c, -positions(rho))
-    k = e.shape[1]
+    k = np.size(rho)
     y = np.empty((2 * k, prob.f_c + 1), dtype=complex)
-    np.multiply(e.T, prob.ghat, out=y[:k])
+    phasor_rows(prob.f_c, -positions(rho), y[:k])
+    y[:k] *= prob.ghat
     np.multiply(y[:k], prob.ls, out=y[k:])
     v = y.view(float)
     q = v @ v.T
@@ -253,16 +253,19 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
         iterations += 1
         grad, w = _gradient(prob, p)
         hess = _hessian(p, w)
-        diag = hess.diagonal()
-        v = grad / np.where(diag > 0.0, diag, 1.0)
         free = np.abs(u) < r - eps
+        every = free.all()  # then v is the Cholesky step alone
+        if not every:
+            v = grad / np.where(hess.diagonal() > 0.0, hess.diagonal(), 1.0)
         if free.any():  # LAPACK rejects the empty block; then v is the diagonal step
-            block = hess if free.all() else hess[np.ix_(free, free)]
-            chol, info = dpotrf(block, lower=1, clean=1)
+            chol, info = dpotrf(hess if every else hess[np.ix_(free, free)], lower=1, clean=1)
             if info > 0:
                 status = STATUS_HESSIAN_NOT_PD
                 break
-            v[free] = dpotrs(chol, grad[free], lower=1)[0]
+            if every:
+                v = dpotrs(chol, grad, lower=1)[0]
+            else:
+                v[free] = dpotrs(chol, grad[free], lower=1)[0]
 
         cand = np.minimum(np.maximum(u - v, -r), r)  # the projected full step
         step = u - cand
@@ -281,7 +284,8 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
             if (rho == rho_u).all():  # rounds to the iterate: F is unchanged
                 continue
             q = _evaluate(prob, rho)
-            if q.f - p.f <= -ARMIJO_CONST * grad @ np.where(free, lam * v, u - cand):
+            pred = lam * v if every else np.where(free, lam * v, u - cand)
+            if q.f - p.f <= -ARMIJO_CONST * grad @ pred:
                 break
         else:
             status = STATUS_STALLED

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spectral import Spectrum
+from .spectral import Spectrum, half_band
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,16 @@ class SlepianKernel:
     @cached_property
     def _spectrum(self) -> Spectrum:
         return Spectrum(self.f_c, self.ghat.astype(complex))
+
+    @cached_property
+    def weighted_half_band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sqrt(w), sqrt(w) ghat as complex and 2 pi i l on l = 0 .. f_C, read-only."""
+        ls, weights = half_band(self.f_c)
+        sqrt_w = np.sqrt(weights)
+        arrays = sqrt_w, (sqrt_w * self.ghat[self.f_c:]).astype(complex), 2j * np.pi * ls
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
 
 def _concentration(ghat: np.ndarray, sigma: float) -> float:

@@ -69,6 +69,18 @@ def phasors(f_c: int, t) -> np.ndarray:
     return (e[b:, None, :] * e[None, :b, :]).reshape(-1, t.size)[: f_c + 1]
 
 
+def phasor_rows(f_c: int, t, out: np.ndarray) -> np.ndarray:
+    """`phasors`(f_c, t).T, bit for bit, written into out (len(t) x (f_C + 1)) with no
+    J x B temporary per position: the full blocks of B entries, then the partial last one."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    b, w = _factors(f_c)
+    e = np.exp(np.multiply.outer(t, w))
+    full = (f_c + 1) // b * b
+    np.multiply(e[:, b:b + full // b, None], e[:, None, :b], out=out[:, :full].reshape(t.size, -1, b))
+    np.multiply(e[:, -1:], e[:, :f_c + 1 - full], out=out[:, full:])
+    return out
+
+
 @dataclass(frozen=True)
 class SpikeTrain:
     """Atomic measure: positions on the circle plus real amplitudes."""
@@ -111,9 +123,9 @@ class Spectrum:
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-        mirrored = np.conj(coeffs[::-1])
         scale = max(np.abs(coeffs).max(), 1e-300)
-        if np.abs(coeffs - mirrored).max() > HERMITIAN_RTOL * scale:
+        # |c[l] - conj(c[-l])| is |c[-l] - conj(c[l])| bit for bit, so l >= 0 suffices
+        if np.abs(coeffs[self.f_c:] - coeffs[self.f_c::-1].conj()).max() > HERMITIAN_RTOL * scale:
             raise ValueError("coefficients are not Hermitian-symmetric")
 
     @property

@@ -358,6 +358,71 @@ class TestGreedyScan:
             assert result.iterations == iterations, f"trial {trial}"
 
 
+class TestBatchedWalk:
+    """The scan makes floats of its ranked candidates in batches: 2 (cap + taken) first,
+    then twice the previous batch; uncapped, all of them at once. A walk past a batch
+    boundary must pick as the `masked_scan` oracle does, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def wideband(self):
+        kernel = build_kernel(1000, 1.5)
+        y, z = scan_input(kernel, 0, 0.0)
+        return kernel, y, greedy_scan(z.coeffs[z.f_c:], kernel.sigma)
+
+    @staticmethod
+    def walk(monkeypatch, y, kernel, cfg, taken=()):
+        """find_peaks' scan, the batch sizes it converted and the candidates it reached."""
+        batches, reached = [], []
+        doubling, near = peaks._doubling, peaks._near
+
+        def recorded(order, size):
+            for b in doubling(order, size):
+                batches.append(b.size)
+                yield b
+
+        def counted(points, t, radius):
+            reached.append(t)
+            return near(points, t, radius)
+
+        monkeypatch.setattr(peaks, "_doubling", recorded)
+        monkeypatch.setattr(peaks, "_near", counted)
+        c = y.coeffs[y.f_c:] * kernel.ghat[y.f_c:]
+        result = greedy_scan(c, kernel.sigma, cfg.max_peaks, cfg.eta, taken)
+        tau0, values, iterations = masked_scan(y, kernel, cfg, taken=taken)
+        assert np.array_equal(result.tau0, tau0)
+        assert np.array_equal(result.peak_values, values)
+        assert result.iterations == iterations
+        return result, batches, len(reached)
+
+    def test_one_pick_beside_26_taken_positions(self, wideband, monkeypatch):
+        # the re-seed's shape: taken holds 2 (K - 1) positions, here the first 26 picks
+        kernel, y, uncapped = wideband
+        result, batches, reached = self.walk(monkeypatch, y, kernel, PeakConfig(max_peaks=1),
+                                             taken=uncapped.tau0[:26])
+        assert result.k_tilde == 1 and result.tau0[0] == uncapped.tau0[26]
+        assert batches[:2] == [54, 108] and reached > 54
+
+    def test_cap_k_past_the_first_batch(self, kernel50, monkeypatch):
+        y, _ = scan_input(kernel50, 0, 0.0)
+        result, batches, reached = self.walk(monkeypatch, y, kernel50, PeakConfig(max_peaks=14))
+        assert result.k_tilde == 14
+        assert batches[0] == 28 < reached  # 82 candidates: the second batch holds 54
+
+    def test_eta_stop_in_a_later_batch(self, wideband, monkeypatch):
+        kernel, y, uncapped = wideband
+        eta = 0.5 * (uncapped.peak_values[44] + uncapped.peak_values[45])
+        result, batches, reached = self.walk(monkeypatch, y, kernel,
+                                             PeakConfig(eta=eta, max_peaks=50))
+        assert result.k_tilde == 45
+        assert batches[:2] == [100, 200] and 100 < reached <= 300
+
+    def test_uncapped_is_one_batch(self, wideband, monkeypatch):
+        kernel, y, uncapped = wideband
+        result, batches, reached = self.walk(monkeypatch, y, kernel, PeakConfig())
+        assert result.k_tilde == uncapped.k_tilde > 500
+        assert len(batches) == 1 and reached <= batches[0]
+
+
 class TestNear:
     @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
            st.one_of(st.floats(0.0, 1e-3), st.floats(1.0 - 1e-3, 1.0, exclude_max=True),

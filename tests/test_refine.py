@@ -1,5 +1,6 @@
 """Projected Newton refinement: dictionary, derivatives, projection, solver."""
 
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
@@ -41,7 +42,9 @@ from superres.spectral import (
     ells,
     eval_grid,
     eval_point,
+    half_band,
     load_spectrum_csv,
+    phasors,
     pointwise_mul,
     smooth_len,
     spike_fourier,
@@ -254,6 +257,35 @@ class TestBuildG:
         a = build_G(np.array([0.25, 1.75]), kernel2)
         b = build_G(np.array([0.25, 0.75]), kernel2)
         assert np.allclose(a.V, b.V)
+
+    @pytest.mark.parametrize("k", [1, 3, 14])
+    @pytest.mark.parametrize("f_c", [1, 2, 3, 8, 15, 50, 1000])
+    def test_rows_are_weighted_phasors_bit_for_bit(self, f_c, k, monkeypatch):
+        # B = isqrt(f_c) + 1 and J = ceil((f_c + 1) / B): J B = f_c + 1 at f_c = 3, 8
+        # and 15, and the last block is partial elsewhere. Y's rows are written in
+        # place, block by block; they equal the `phasors` products, bit for bit.
+        # The Gram test is beside the point (14 atoms at f_c = 1 are degenerate).
+        monkeypatch.setattr(superres.refine, "dpotrf", lambda a, lower, clean: (np.eye(len(a)), 0))
+        kernel = build_kernel(f_c, min(2.25, 0.4 * (2 * f_c + 1)))
+        rho = np.random.default_rng([f_c, k]).random(k) * 3.0 - 1.0
+        g = np.sqrt(half_band(f_c)[1]) * kernel.ghat[f_c:]
+        y = np.ascontiguousarray(g.astype(complex) * phasors(f_c, -wrap(rho)).T)
+        expected = np.concatenate([y, y * (2j * np.pi * np.arange(f_c + 1))]).view(float)
+        assert np.array_equal(build_G(rho, kernel).V, expected)
+
+    def test_peak_memory_is_about_one_dictionary(self):
+        # At (f_c, K) = (4000, 40), Y is 2K x (f_c + 1) complex, 5.1 MB. Its products
+        # go straight into it: a J x B x K phasor temporary would add half as much.
+        kernel = build_kernel(4000, 2.25)
+        rho = (np.arange(40) + 0.5) / 40
+        build_G(rho, kernel)  # the kernel's half-band arrays are made once, untraced
+        tracemalloc.start()
+        try:
+            d = build_G(rho, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * d.V.nbytes
 
 
 class TestLeastSquares:

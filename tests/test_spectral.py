@@ -13,6 +13,7 @@ from scipy.fft import next_fast_len
 
 import superres
 from superres.spectral import (
+    HERMITIAN_RTOL,
     SpikeTrain,
     Spectrum,
     add,
@@ -20,6 +21,7 @@ from superres.spectral import (
     eval_grid,
     eval_point,
     load_spectrum_csv,
+    phasor_rows,
     phasors,
     pointwise_mul,
     save_spectrum_csv,
@@ -101,6 +103,36 @@ class TestSpectrum:
         # only a real signal's spectrum can be made
         with pytest.raises(ValueError, match="real_signal must be True"):
             Spectrum(1, np.zeros(3), real_signal=False)
+
+    def test_half_band_residue_is_the_full_band_one(self):
+        # |c[l] - conj(c[-l])| and |c[-l] - conj(c[l])| are equal bit for bit, so the
+        # check reads l >= 0 only: the same spectra pass and fail
+        rng = np.random.default_rng(3)
+        for f_c in (1, 2, 50, 1000):
+            for _ in range(50):
+                c = seeded_real_spectrum(f_c, int(rng.integers(2**31))).coeffs.copy()
+                noise = rng.standard_normal(c.size) + 1j * rng.standard_normal(c.size)
+                c += noise * 10.0 ** rng.uniform(-16, -8)
+                full = np.abs(c - np.conj(c[::-1]))
+                half = np.abs(c[f_c:] - np.conj(c[f_c::-1]))
+                assert half.max() == full.max()
+                assert np.array_equal(half, full[f_c:]) and np.array_equal(half, full[f_c::-1])
+
+    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
+    @pytest.mark.parametrize("i", [50, 51, 100, 0, 30], ids=["l0", "l1", "l50", "l-50", "l-20"])
+    def test_residue_at_the_tolerance(self, factor, ok, i):
+        # The scale is max |c| over the full band, 2 here (at l = +-50). Moving one
+        # coefficient by delta makes the residue delta (2 Im c[0] = delta at l = 0).
+        c = seeded_real_spectrum(50, 1).coeffs.copy()
+        c /= np.abs(c).max()
+        c[0] = c[100] = 2.0
+        delta = factor * HERMITIAN_RTOL * 2.0
+        c[i] += 0.5j * delta if i == 50 else delta
+        if ok:
+            Spectrum(50, c)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                Spectrum(50, c)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_coefficients_raise(self, bad):
@@ -290,6 +322,15 @@ class TestPhasors:
         e = phasors(f_c, self.TS)
         assert e.shape == ref.shape
         assert np.abs(e - ref).max() <= 16 * (f_c + 1) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("f_c", F_CS)
+    def test_rows_are_the_transposed_phasors_bit_for_bit(self, f_c):
+        # Written into the top rows of a taller array, as build_G does, leaving the rest.
+        out = np.full((self.TS.size + 2, f_c + 1), 7.0 + 0j)
+        rows = out[: self.TS.size]
+        assert phasor_rows(f_c, self.TS, rows) is rows
+        assert np.array_equal(rows, phasors(f_c, self.TS).T)
+        assert (out[self.TS.size:] == 7.0).all()
 
     @pytest.mark.parametrize("f_c", F_CS)
     def test_eval_point_matches_full_band_dot(self, f_c):
