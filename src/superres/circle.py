@@ -53,10 +53,11 @@ def hausdorff(a, b) -> float:
 def separation(tau) -> float:
     """Minimum pairwise wraparound distance, in O(K log K): the closest pair are
     neighbours in sorted order (the last and the first too), in rounding as well.
-    The gaps of sorted positions in [0, 1) need no reduction mod 1, so this equals
-    wrap_dist over neighbouring pairs bit for bit."""
+    The gaps d of sorted positions in [0, 1) need no reduction mod 1, and rounding
+    is monotone, so min(d.min(), 1 - d.max()) equals wrap_dist over neighbouring
+    pairs bit for bit."""
     tau = np.sort(wrap(np.atleast_1d(np.asarray(tau, dtype=float))))
     if tau.size < 2:
         raise ValueError("separation undefined")
-    d = np.append(np.diff(tau), tau[-1] - tau[0])
-    return float(np.minimum(d, 1.0 - d).min())
+    d, last = tau[1:] - tau[:-1], tau[-1] - tau[0]
+    return float(min(d.min(), 1.0 - d.max(), last, 1.0 - last))

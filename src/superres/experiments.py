@@ -72,7 +72,7 @@ class TrialRecord:
     status: str
     reseeds: int  # re-seed rounds in phase 2
     runtime_ms: float  # the whole trial, sampling included
-    sample_ms: float  # instance, its spectrum and the noise
+    sample_ms: float  # instance, its spectrum and the noise when nu > 0
     tau_estimate: np.ndarray = field(default_factory=lambda: np.array([]))
     tau_true: np.ndarray = field(default_factory=lambda: np.array([]))
     # phase 2's final box centres: phase-1 and re-seed picks (the phase-1 picks if it did not run)
@@ -149,9 +149,9 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, nu: float) -> TrialRecord:
     start = time.perf_counter()
     truth = sample_instance(cfg, trial_seed)
     xhat = spike_fourier(truth, cfg.f_c)
-    noise = synth_noise(cfg.f_c, nu, _noise_seed(trial_seed))
+    noise = synth_noise(cfg.f_c, nu, _noise_seed(trial_seed)) if nu else None
     sample_ms = 1000.0 * (time.perf_counter() - start)
-    y = add(xhat, noise)
+    y = xhat if noise is None else add(xhat, noise)  # a noiseless trial measures xhat
 
     k_tilde = reseeds = 0
     estimate = np.array([])

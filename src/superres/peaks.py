@@ -73,10 +73,11 @@ def _near(points: list[float], t: float, radius: float) -> bool:
 
 def _vertices(az: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vertex (c + x, a0 + (a+ - a-) x / 4), in grid cells, of the parabola through
-    each grid maximum a0 = az[c] and its neighbours a- and a+ on the circular grid, with
-    x = (a- - a+) / (2 (a- - 2 a0 + a+)), or x = 0 where that denominator is not negative."""
-    a0 = az[cand]
-    am, ap = az[cand - 1], az[(cand + 1) % az.size]
+    each grid maximum a0 and its neighbours a- and a+ on the circular grid, with
+    x = (a- - a+) / (2 (a- - 2 a0 + a+)), or x = 0 where that denominator is not negative.
+    az is the grid padded with its circular neighbours (grid point c is az[c + 1]), so
+    a-, a0 and a+ are az[c], az[c + 1] and az[c + 2]."""
+    am, a0, ap = az[cand], az[1:][cand], az[2:][cand]
     den = am - 2.0 * a0 + ap
     x = np.divide(am - ap, 2.0 * den, out=np.zeros_like(a0), where=den < 0.0)
     return cand + x, a0 + (ap - am) * x / 4.0
@@ -106,25 +107,25 @@ def greedy_scan(c: np.ndarray, sigma: float, cap: Optional[int] = None, eta: flo
     The grid has `smooth_len(OVERSAMPLE * N)` points, a fast FFT length; its local
     maxima are ranked, and compared with eta, by the value at their `_vertices`, and
     picked at the vertex position. A candidate is kept while both cyclic neighbours of
-    its vertex among the picks and taken positions are more than 2 sigma away.
+    its vertex among the picks and taken positions are more than 2 sigma away. |z| is
+    held in m + 2 values whose ends repeat the grid's far ends, so every grid point has
+    both circular neighbours in place: a local maximum is two comparisons and
+    `_vertices` three gathers, with no special case at the grid's ends.
     """
     m = smooth_len(OVERSAMPLE * (2 * c.size - 1))
-    az = np.fft.irfft(c, m)  # z on the grid, as `spectral.eval_grid` computes it
-    az *= m
-    np.abs(az, out=az)
+    az = np.empty(m + 2)  # |z| on the grid, with its circular neighbours at both ends
+    inner = az[1:-1]
+    np.multiply(np.fft.irfft(c, m), m, out=inner)  # z as `spectral.eval_grid` computes it
+    np.abs(inner, out=inner)
+    az[0], az[-1] = az[-2], az[1]
     # Candidates are the grid's local maxima only: a point on the monotone skirt
     # of a pick's neighborhood must not be picked ahead of a weak real spike.
-    inner = az[1:-1]
-    is_max = np.empty(m, dtype=bool)
-    np.greater_equal(inner, az[:-2], out=is_max[1:-1])
-    is_max[1:-1] &= inner >= az[2:]
-    is_max[0] = az[0] >= az[-1] and az[0] >= az[1]
-    is_max[-1] = az[-1] >= az[-2] and az[-1] >= az[0]
-    vertex, peak = _vertices(az, np.flatnonzero(is_max))
+    vertex, peak = _vertices(az, np.flatnonzero((inner >= az[:-2]) & (inner >= az[2:])))
     # Picks only rule candidates out, so one sort orders every later choice.
     order = np.argsort(-peak, kind="stable")  # ties: smallest index first
     two_sigma = 2.0 * sigma
-    occupied = np.sort(wrap(np.atleast_1d(taken))).tolist()  # taken and picks, sorted
+    # taken and picks, sorted (no sort when nothing is taken)
+    occupied = np.sort(wrap(np.atleast_1d(taken))).tolist() if np.size(taken) else []
     # Candidates become floats in batches, none empty: a capped scan reaches only a few.
     first = order.size if cap is None else max(1, 2 * (cap + len(occupied)))
     tau0: list[float] = []

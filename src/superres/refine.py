@@ -171,8 +171,10 @@ def _evaluate(prob: _Problem, rho) -> _Point:
 def _gradient(prob: _Problem, p: _Point) -> tuple[np.ndarray, np.ndarray]:
     """The gradient and w, the product of V's lower half with r and with 2 pi i l r: its
     rows are -Re G* (2 pi i l) r and -Re G* (2 pi i l)^2 r, which the Hessian reuses."""
-    rl = (prob.ls * p.r.view(complex)).view(float)
-    w = np.concatenate((p.r, rl)).reshape(2, -1) @ p.d.V[p.beta.size:].T
+    rrl = np.empty((2, p.r.size))
+    rrl[0] = p.r
+    np.multiply(prob.ls, p.r.view(complex), out=rrl[1].view(complex))
+    w = rrl @ p.d.V[p.beta.size:].T
     return 2.0 * p.beta * w[0], w
 
 
@@ -182,9 +184,9 @@ def _hessian(p: _Point, w: np.ndarray) -> np.ndarray:
     b, q = p.beta, p.d.Q
     k = b.size
     h = b[:, None] * q[k:, k:] * b
-    h.flat[:: k + 1] += b * w[1]
+    h.reshape(-1)[:: k + 1] += b * w[1]  # the diagonals, as strided views
     bracket = b[:, None] * q[:k, k:]
-    bracket.flat[:: k + 1] += w[0]
+    bracket.reshape(-1)[:: k + 1] += w[0]
     h -= bracket @ dpotrs(p.d.gram_chol, bracket.T, lower=1)[0]
 
     asym = np.abs(h - h.T).max()
@@ -242,7 +244,7 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
     u = wrap_signed(np.atleast_1d(np.asarray(tau0, dtype=float)), box.center)
     if np.any(np.abs(u) > r + FEAS_TOL):
         raise ValueError("infeasible point")
-    eta_stop = 1e-12 * np.sqrt(u.size)
+    eta_stop = 1e-12 * math.sqrt(u.size)
     eps = r / 2.0
 
     p = _evaluate(prob, box.center + u)
@@ -253,11 +255,11 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
         iterations += 1
         grad, w = _gradient(prob, p)
         hess = _hessian(p, w)
-        free = np.abs(u) < r - eps
-        every = free.all()  # then v is the Cholesky step alone
+        every = np.abs(u).max() < r - eps  # all free, the usual case: v is the Cholesky step
         if not every:
+            free = np.abs(u) < r - eps
             v = grad / np.where(hess.diagonal() > 0.0, hess.diagonal(), 1.0)
-        if free.any():  # LAPACK rejects the empty block; then v is the diagonal step
+        if every or free.any():  # LAPACK rejects the empty block; then v is the diagonal step
             chol, info = dpotrf(hess if every else hess[np.ix_(free, free)], lower=1, clean=1)
             if info > 0:
                 status = STATUS_HESSIAN_NOT_PD
@@ -299,7 +301,7 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
         tau_tilde=wrap(box.center + u),
         beta=p.beta,
         f_trace=np.asarray(f_trace),
-        grad_norm_final=float(np.linalg.norm(grad)),
+        grad_norm_final=math.sqrt(grad @ grad),  # as np.linalg.norm computes it
         status=status,
         iterations=iterations,
         centres=box.center,

@@ -222,7 +222,7 @@ def save_spectrum_csv(s: Spectrum, path) -> None:
 
 def load_spectrum_csv(path) -> Spectrum:
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1, 2))
-    ls = rows[:, 0].astype(int)
-    if ls.size == 0 or ls[0] != -ls[-1] or np.any(np.diff(ls) != 1):
+    f_c = (len(rows) - 1) // 2  # l is compared as read: 1.7 is not truncated to 1
+    if len(rows) % 2 == 0 or not np.array_equal(rows[:, 0], ells(f_c)):
         raise ValueError("spectrum CSV must cover l = -f_C .. f_C contiguously")
-    return Spectrum(int(ls[-1]), rows[:, 1] + 1j * rows[:, 2])
+    return Spectrum(f_c, rows[:, 1] + 1j * rows[:, 2])

@@ -104,6 +104,17 @@ class TestBasicCases:
         assert np.all((tau0 >= 0.0) & (tau0 < 1.0))
         assert tau0[0] == 0.0
 
+    @pytest.mark.parametrize("cells", [-1.0, -0.3], ids=["last_grid_point", "before_zero"])
+    def test_spike_next_to_the_grid_end_is_picked_there(self, cells):
+        # Grid point m - 1 and grid point 0 are each other's circular neighbours,
+        # held at the two ends of the padded grid.
+        m = smooth_len(OVERSAMPLE * 81)
+        t = wrap(cells / m)
+        y = spike_fourier(SpikeTrain([t], [1.0]), 40)
+        tau0 = find_peaks(y, build_kernel(40, 1.5), PeakConfig(max_peaks=1)).tau0
+        assert tau0.size == 1 and 0.0 <= tau0[0] < 1.0
+        assert wrap_dist(tau0[0], t) * m < 0.01
+
     def test_iteration_cap_without_max_peaks(self, kernel50):
         # eta = 0 never triggers the threshold stop and no cap is set, but picks
         # are more than 2 sigma apart on a circle of length 1, so there are fewer

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from superres.experiments import (
     EXACT_RECOVERY_ERR,
     ConfigError,
     ExperimentConfig,
+    TrialRecord,
     cached_kernel,
     gradcheck,
     run_monte_carlo,
@@ -28,9 +30,11 @@ from superres.refine import BoxConstraint, SolveReport, run_newton
 from superres.spectral import (
     Spectrum,
     SpikeTrain,
+    add,
     pointwise_mul,
     save_spectrum_csv,
     spike_fourier,
+    synth_noise,
 )
 
 TAU_EXAMPLE = np.array([0.2995, 0.3663, 0.4332, 0.5000, 0.5668, 0.6337, 0.7005])
@@ -231,6 +235,29 @@ class TestRunTrial:
         assert (record.status, record.hausdorff_err, record.reseeds) == ("no_peaks", 0.5, 0)
         assert record.k_tilde == record.tau_estimate.size == record.tau_init.size == 0
 
+    def test_noiseless_trial_is_the_zero_noise_sum(self, monkeypatch):
+        # nu = 0 measures xhat itself: the record is that of add(xhat, synth_noise(f_c, 0, s)),
+        # whose noise is zero for any seed s, but for the clocks; trials 5 and 77 re-seed
+        seeds = [trial_seed_for(CRITERION_3, 0, i) for i in (0, 1, 5, 77)]
+        direct = [run_trial(CRITERION_3, seed, 0.0) for seed in seeds]
+        with monkeypatch.context() as m:
+            m.setattr(superres.experiments, "spike_fourier",
+                      lambda x, f_c: add(spike_fourier(x, f_c), synth_noise(f_c, 0.0, 0)))
+            summed = [run_trial(CRITERION_3, seed, 0.0) for seed in seeds]
+        clocks = {"runtime_ms", "sample_ms"}
+        for a, b in zip(direct, summed):
+            for f in fields(TrialRecord):
+                if f.name not in clocks:
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+    def test_noiseless_trial_draws_no_noise(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("noise drawn for nu = 0")
+
+        monkeypatch.setattr(superres.experiments, "synth_noise", refuse)
+        record = run_trial(EASY, trial_seed_for(EASY, 0, 0), 0.0)
+        assert record.status == "converged" and record.hausdorff_err < 1e-9
+
     def test_noisy_trial_reports_finite_error(self):
         record = run_trial(EASY, trial_seed_for(EASY, 0, 0), 0.05)
         assert 0.0 <= record.hausdorff_err <= 0.5
@@ -428,7 +455,9 @@ class TestCli:
         "l,re\n0,1\n",
         pytest.param("l,re,im\n", marks=pytest.mark.filterwarnings("ignore:loadtxt")),
         "l,re,im\n" + "".join(f"{l},{'nan' if l == 0 else 0},0\n" for l in range(-50, 51)),
-    ], ids=["missing", "non_numeric", "two_columns", "no_rows", "non_finite"])
+        # truncated, the last l would read as 50: a band of f_C = 50
+        "l,re,im\n" + "".join(f"{l},{int(l == 0)},0\n" for l in range(-50, 50)) + "50.7,0,0\n",
+    ], ids=["missing", "non_numeric", "two_columns", "no_rows", "non_finite", "non_integer_l"])
     def test_unreadable_input_is_usage_error(self, tmp_path, capsys, command, text):
         path = tmp_path / "y.csv"
         if text is not None:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -372,3 +373,15 @@ class TestCsvRoundTrip:
         path.write_text("l,re,im\n0,1,0\n1,1,0\n")
         with pytest.raises(ValueError, match="contiguous"):
             load_spectrum_csv(path)
+
+    # truncated, l = -1, 0, 1.7 would read as the band of f_C = 1; nan and 1e300
+    # would make an integer cast warn
+    @pytest.mark.parametrize("first, last", [(-1, 1.7), ("nan", 1), (-1e300, 1e300)],
+                             ids=["fractional", "nan", "huge"])
+    def test_non_integer_l_raises(self, tmp_path, first, last):
+        path = tmp_path / "bad_l.csv"
+        path.write_text(f"l,re,im\n{first},1,0\n0,1,0\n{last},1,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="contiguous"):
+                load_spectrum_csv(path)

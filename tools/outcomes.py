@@ -10,8 +10,9 @@ and `run_trial` do: find_peaks(max_peaks=K) -> solve_phase2. The first
 UNCAPPED instances of each pool also run an uncapped find_peaks. One CSV
 row per run gives the workload, seed, index, scan (`K` or `all`), status,
 Newton iterations, re-seeds, phase-1 iterations, a sha256 of the bytes of
-the picks and peak values (`phase1_sha256`) and one of tau and beta
-(`phase2_sha256`), then tau and beta themselves, space-separated at 17
+the picks and peak values (`phase1_sha256`), one of tau and beta
+(`phase2_sha256`) and one of the report's f_trace and grad_norm_final
+(`report_sha256`), then tau and beta themselves, space-separated at 17
 significant digits. So two trees that write the same file made bit-identical
 outcomes, and a change that moves only phase 2's rounding shows in
 `phase2_sha256` and in tau and beta alone.
@@ -21,7 +22,7 @@ trial_seed_for(ExperimentConfig(), i, t) for nu = MC_NU[i] and the first
 MC_TRIALS trials t; --seeds does not apply to it. Its rows have the trial seed
 in `seed`, t in `index`, the status and re-seeds, in `phase2_sha256` a
 sha256 of tau_init, tau_estimate and the Hausdorff error, and tau_estimate in
-`tau` (`beta` is empty). So a change to the
+`tau` (`beta` and `report_sha256` are empty). So a change to the
 instance sampling or the measurement (`sample_instance`, `spike_fourier`,
 `synth_noise`, `add`) shows there, although the pools are built without them.
 
@@ -32,8 +33,9 @@ present in both files with the same status and tau (beta) of one length in
 each, it prints the largest wrap distance between old and new tau and the
 largest max|new beta - old beta| / max|old beta|: a solve whose status changed
 is counted as such and would hide every rounding-level move if measured too.
-A FILE without the tau and beta columns is compared on the other columns
-alone. The library is imported from ../src, never from an installed copy.
+A FILE without the tau and beta columns, or without `report_sha256`, is
+compared on the other columns alone. The library is imported from ../src,
+never from an installed copy.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from superres.peaks import PeakConfig, find_peaks  # noqa: E402
 from superres.refine import solve_phase2  # noqa: E402
 
 COLUMNS = ("workload", "seed", "index", "scan", "status", "newton_iterations", "reseeds",
-           "phase1_iterations", "phase1_sha256", "phase2_sha256", "tau", "beta")
+           "phase1_iterations", "phase1_sha256", "phase2_sha256", "report_sha256", "tau", "beta")
 KEY = COLUMNS[:4]
 COMPARED = COLUMNS[len(KEY):-2]  # tau and beta are measured as distances instead
 EMPTY = dict.fromkeys(COLUMNS[len(KEY):], "")
@@ -111,6 +113,7 @@ def outcome(y, kernel1, kernel2, max_peaks) -> dict:
             row.update(status=report.status, newton_iterations=report.iterations,
                        reseeds=report.reseeds,
                        phase2_sha256=_sha([report.tau_tilde, report.beta]),
+                       report_sha256=_sha([report.f_trace, report.grad_norm_final]),
                        tau=_digits(report.tau_tilde), beta=_digits(report.beta))
     return row
 
@@ -146,16 +149,18 @@ def compare(rows: list[dict], path: str) -> int:
     """Print the rows that differ from those in path, then how many differ in each
     column, the changes of status and how far tau and beta moved."""
     with open(path, newline="") as fh:
-        old = {tuple(r[c] for c in KEY): r for r in csv.DictReader(fh)}
+        reader = csv.DictReader(fh)
+        old = {tuple(r[c] for c in KEY): r for r in reader}
+        compared = [c for c in COMPARED if c in reader.fieldnames]
     changes: Counter = Counter()
     columns: Counter = Counter()
     moved: Counter = Counter()  # (workload, column) -> the largest distance
     measured: Counter = Counter()
     differ = 0
     for row in rows:
-        new = {c: str(row[c]) for c in KEY + COMPARED}
+        new = {c: str(row[c]) for c in [*KEY, *compared]}
         full = old.pop(tuple(new[c] for c in KEY), None)
-        before = None if full is None else {c: full[c] for c in KEY + COMPARED}
+        before = None if full is None else {c: full[c] for c in new}
         for c, distance in DISTANCES.items():
             if full is None or full["status"] != new["status"] or not full.get(c) or not row[c]:
                 continue
@@ -168,16 +173,16 @@ def compare(rows: list[dict], path: str) -> int:
             continue
         differ += 1
         print(f"{','.join(new[c] for c in KEY)}: {before} -> {new}")
-        columns.update(c for c in COMPARED if before is None or before[c] != new[c])
+        columns.update(c for c in compared if before is None or before[c] != new[c])
         if before is None or before["status"] != new["status"]:
             changes[(before or {}).get("status", "absent"), new["status"]] += 1
     for key in old:
         differ += 1
         print(f"{','.join(key)}: only in {path}")
-        columns.update(COMPARED)
+        columns.update(compared)
         changes[old[key]["status"], "absent"] += 1
     print(f"{differ} of {len(rows)} rows differ")
-    for c in COMPARED:
+    for c in compared:
         print(f"  {c}: {columns[c]}")
     print("status changes:")
     for (a, b), n in sorted(changes.items()):
