@@ -200,14 +200,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("mc", help="Monte-Carlo sweep over noise levels")
-    p.add_argument("--fc", type=int, default=50)
-    p.add_argument("--c1", type=float, default=1.5)
-    p.add_argument("--c2", type=float, default=2.25)
-    p.add_argument("--k", type=int, default=14)
-    p.add_argument("--sep-min", dest="sep_min", type=float, default=0.04)
-    p.add_argument("--nu", type=float, nargs="+", default=[0.0, 0.025, 0.05, 0.1, 0.2])
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fc", type=int, default=ExperimentConfig.f_c)
+    p.add_argument("--c1", type=float, default=ExperimentConfig.c1)
+    p.add_argument("--c2", type=float, default=ExperimentConfig.c2)
+    p.add_argument("--k", type=int, default=ExperimentConfig.k)
+    p.add_argument("--sep-min", dest="sep_min", type=float, default=ExperimentConfig.sep_min)
+    p.add_argument("--nu", type=float, nargs="+", default=list(ExperimentConfig.nu_grid))
+    p.add_argument("--trials", type=int, default=ExperimentConfig.trials)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--min-success-rate", dest="min_success_rate", type=float, default=None)
     p.add_argument("--config", type=str, default=None)

@@ -4,12 +4,13 @@ A Spectrum holds the complex Fourier coefficients of a signal band-limited
 to l in [-f_C : f_C]; coeffs[i] corresponds to frequency l = i - f_C.
 Spike trains produce such spectra; band-limited noise is synthesized with
 exact total energy; trigonometric polynomials are evaluated on grids via
-zero-padded inverse real FFT or pointwise by a direct sum over `phasors`,
+zero-padded inverse real FFT or pointwise by a direct sum over phasors,
 both over l >= 0 only (see `half_band`).
 
 Phasors e^{2 pi i l t}, l = 0 .. f_C, are built from about 2 sqrt(N)
 exponentials: with l = j B + k, B = isqrt(f_C) + 1, each is the product of
-e^{2 pi i j B t} and e^{2 pi i k t} (see `phasors`).
+e^{2 pi i j B t} and e^{2 pi i k t}. `phasor_rows` is the one builder: the
+dictionary, `spike_fourier` and `eval_point` each hand it their own buffer.
 """
 
 from __future__ import annotations
@@ -49,29 +50,21 @@ def half_band(f_c: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def _factors(f_c: int) -> tuple[int, np.ndarray]:
     """B = isqrt(f_C) + 1 and 2 pi i [0, 1, .., B - 1, 0, B, .., (J - 1) B] with
-    J = ceil((f_C + 1) / B): the frequencies of the lo factors, then of the hi ones."""
+    J = ceil((f_C + 1) / B): the lo factors' frequencies, then the hi ones' (see `phasor_rows`)."""
     b = math.isqrt(f_c) + 1
     w = 2j * np.pi * np.concatenate([np.arange(b), b * np.arange(-(-(f_c + 1) // b))])
     w.setflags(write=False)
     return b, w
 
 
-def phasors(f_c: int, t) -> np.ndarray:
-    """e^{2 pi i l t[i]} at row l = 0 .. f_C, column i: e^{2 pi i j B t} e^{2 pi i k t} for
-    l = j B + k (see `_factors`), so J + B exponentials and N complex products per position.
-
-    The error is that of the direct exp: both are set by the rounding of the
-    argument 2 pi l t.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    b, w = _factors(f_c)
-    e = np.exp(np.multiply.outer(w, t))
-    return (e[b:, None, :] * e[None, :b, :]).reshape(-1, t.size)[: f_c + 1]
-
-
 def phasor_rows(f_c: int, t, out: np.ndarray) -> np.ndarray:
-    """`phasors`(f_c, t).T, bit for bit, written into out (len(t) x (f_C + 1)) with no
-    J x B temporary per position: the full blocks of B entries, then the partial last one."""
+    """e^{2 pi i l t[i]} at row i, column l = 0 .. f_C, written into out (len(t) x (f_C + 1)).
+
+    Each is e^{2 pi i j B t} e^{2 pi i k t} for l = j B + k (see `_factors`), so J + B
+    exponentials and N complex products per position, with no J x B temporary: the
+    full blocks of B entries, then the partial last one. The error is that of the
+    direct exp: both are set by the rounding of the argument 2 pi l t.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     b, w = _factors(f_c)
     e = np.exp(np.multiply.outer(t, w))
@@ -136,12 +129,15 @@ class Spectrum:
 def spike_fourier(x: SpikeTrain, f_c: int) -> Spectrum:
     """Fourier coefficients of a spike train: sum_i alpha_i e^{-i 2 pi l tau_i}.
 
-    The half band l >= 0 comes from `phasors`; l < 0 is its conjugate mirror, so
-    the spectrum is Hermitian by construction.
+    The half band l >= 0 is the phasors, written by `phasor_rows` into a column
+    per spike, times alpha; l < 0 is its conjugate mirror, so the spectrum is
+    Hermitian by construction.
     """
     if f_c < 1:
         raise ValueError("f_c must be >= 1")
-    half = phasors(f_c, -x.positions) @ x.amplitudes
+    cols = np.empty((f_c + 1, x.positions.size), dtype=complex)
+    phasor_rows(f_c, -x.positions, cols.T)
+    half = cols @ x.amplitudes
     return Spectrum(f_c, np.concatenate([np.conj(half[:0:-1]), half]))
 
 
@@ -208,8 +204,9 @@ def eval_grid(s: Spectrum, m: int) -> np.ndarray:
 
 
 def eval_point(s: Spectrum, t: float) -> float:
-    """Evaluate the real signal at a single position by direct summation over `phasors`."""
-    return float((half_band(s.f_c)[1] * s.coeffs[s.f_c:] @ phasors(s.f_c, t)).real[0])
+    """Evaluate the real signal at one position: the weighted half band dotted with a phasor row."""
+    row = phasor_rows(s.f_c, t, np.empty((1, s.f_c + 1), dtype=complex))[0]
+    return float((half_band(s.f_c)[1] * s.coeffs[s.f_c:] @ row).real)
 
 
 def save_spectrum_csv(s: Spectrum, path) -> None:

@@ -11,7 +11,7 @@ from scipy import stats
 
 import superres.refine
 from superres.circle import hausdorff, separation, wrap_dist
-from superres.cli import main
+from superres.cli import build_parser, main
 from superres.experiments import (
     EXACT_RECOVERY_ERR,
     ConfigError,
@@ -526,6 +526,14 @@ class TestCli:
         assert main(base + ["--min-success-rate", "1.1"]) == 3
         capsys.readouterr()
         assert (tmp_path / "mc" / "trials.csv").exists()
+
+    def test_mc_defaults_are_the_experiment_config(self):
+        # One per field of ExperimentConfig, in field order: a new field fails here.
+        args = build_parser().parse_args(["mc"])
+        given = (args.fc, args.c1, args.c2, args.k, args.sep_min, tuple(args.nu),
+                 args.trials, args.seed)
+        cfg = ExperimentConfig()
+        assert given == tuple(getattr(cfg, f.name) for f in fields(cfg))
 
     def test_mc_tightest_separation_draws_separated_spikes(self, capsys):
         # three points at 0.33333 fit with 1e-5 to spare: a uniform draw would

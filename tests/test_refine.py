@@ -44,12 +44,12 @@ from superres.spectral import (
     eval_point,
     half_band,
     load_spectrum_csv,
-    phasors,
     pointwise_mul,
     smooth_len,
     spike_fourier,
     synth_noise,
 )
+from test_spectral import phasors
 
 TAU_EXAMPLE = np.array([0.2995, 0.3663, 0.4332, 0.5000, 0.5668, 0.6337, 0.7005])
 ALPHA_EXAMPLE = np.array([10.0, -1.0, 1.0, -3.0, 2.0, -5.0, 2.0])
@@ -263,7 +263,7 @@ class TestBuildG:
     def test_rows_are_weighted_phasors_bit_for_bit(self, f_c, k, monkeypatch):
         # B = isqrt(f_c) + 1 and J = ceil((f_c + 1) / B): J B = f_c + 1 at f_c = 3, 8
         # and 15, and the last block is partial elsewhere. Y's rows are written in
-        # place, block by block; they equal the `phasors` products, bit for bit.
+        # place, block by block; they equal test_spectral's reference `phasors`, bit for bit.
         # The Gram test is beside the point (14 atoms at f_c = 1 are degenerate).
         monkeypatch.setattr(superres.refine, "dpotrf", lambda a, lower, clean: (np.eye(len(a)), 0))
         kernel = build_kernel(f_c, min(2.25, 0.4 * (2 * f_c + 1)))

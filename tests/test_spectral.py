@@ -22,8 +22,8 @@ from superres.spectral import (
     eval_grid,
     eval_point,
     load_spectrum_csv,
+    _factors,
     phasor_rows,
-    phasors,
     pointwise_mul,
     save_spectrum_csv,
     smooth_len,
@@ -46,6 +46,18 @@ def full_band_grid(s, m):
     padded = np.zeros(m, dtype=complex)
     padded[np.mod(ells(s.f_c), m)] = s.coeffs
     return m * np.fft.ifft(padded)
+
+
+def phasors(f_c, t):
+    """Reference phasors, row l = 0 .. f_C and column i: the J x B products
+    e^{2 pi i j B t} e^{2 pi i k t} of `_factors`, formed whole and cut to f_C + 1 rows.
+
+    `phasor_rows`, `spike_fourier` and `eval_point` equal it bit for bit.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    b, w = _factors(f_c)
+    e = np.exp(np.multiply.outer(w, t))
+    return (e[b:, None, :] * e[None, :b, :]).reshape(-1, t.size)[: f_c + 1]
 
 
 def full_band_point(s, t):
@@ -174,7 +186,7 @@ class TestSpikeFourier:
 
     @pytest.mark.parametrize("f_c", [1, 50, 1000, 4000])
     def test_hermitian_and_matches_full_band_exp(self, f_c):
-        # The half band comes from `phasors` and is mirrored, so the spectrum is
+        # The half band comes from `phasor_rows` and is mirrored, so the spectrum is
         # Hermitian bit for bit; its error is the direct exp's, from rounding 2 pi l tau.
         rng = np.random.default_rng(f_c)
         x = SpikeTrain(rng.random(14), rng.standard_normal(14))
@@ -319,9 +331,8 @@ class TestPhasors:
 
     @pytest.mark.parametrize("f_c", F_CS)
     def test_matches_direct_exp(self, f_c):
-        ref = np.exp(2j * np.pi * np.outer(np.arange(f_c + 1), self.TS))
-        e = phasors(f_c, self.TS)
-        assert e.shape == ref.shape
+        ref = np.exp(2j * np.pi * np.outer(self.TS, np.arange(f_c + 1)))
+        e = phasor_rows(f_c, self.TS, np.empty(ref.shape, dtype=complex))
         assert np.abs(e - ref).max() <= 16 * (f_c + 1) * np.finfo(float).eps
 
     @pytest.mark.parametrize("f_c", F_CS)
@@ -334,15 +345,27 @@ class TestPhasors:
         assert (out[self.TS.size:] == 7.0).all()
 
     @pytest.mark.parametrize("f_c", F_CS)
+    def test_spike_fourier_half_band_is_the_phasor_product_bit_for_bit(self, f_c):
+        # Columns times amplitudes, as the reference is laid out: amplitudes @ rows
+        # sums in another order and moves the rounding.
+        for k in (1, 3, 14, 29):
+            rng = np.random.default_rng([f_c, k])
+            x = SpikeTrain(rng.random(k), rng.standard_normal(k))
+            half = spike_fourier(x, f_c).coeffs[f_c:]
+            assert np.array_equal(half, phasors(f_c, -x.positions) @ x.amplitudes)
+
+    @pytest.mark.parametrize("f_c", F_CS)
     def test_eval_point_matches_full_band_dot(self, f_c):
         rng = np.random.Generator(np.random.Philox(f_c))
         half = rng.standard_normal(f_c + 1) + 1j * rng.standard_normal(f_c + 1)
         half[0] = half[0].real
         s = Spectrum(f_c, np.concatenate([np.conj(half[:0:-1]), half]))
+        w = np.where(np.arange(f_c + 1) == 0, 1.0, 2.0)
         for t in self.TS:
             ref = full_band_point(s, t)
             assert abs(ref.imag) <= 1e-12 * np.abs(s.coeffs).sum()
             assert abs(eval_point(s, t) - ref.real) <= 1e-12 * np.abs(s.coeffs).sum()
+            assert eval_point(s, t) == (w * half @ phasors(f_c, t)).real[0]  # bit for bit
 
 
 class TestCsvRoundTrip:
