@@ -54,6 +54,8 @@ class ExperimentConfig:
         check_fit(self.k, self.sep_min)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not np.isfinite(self.nu_grid).all():
+            raise ConfigError("nu must be finite")
         if any(nu < 0 for nu in self.nu_grid):
             raise ConfigError("nu must be >= 0")
         if len(set(self.nu_grid)) < len(self.nu_grid):

@@ -46,6 +46,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="eta"):
             PeakConfig(eta=-0.1)
 
+    def test_nan_eta(self):
+        # NaN fails every comparison, so a scan would never stop at it
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            PeakConfig(eta=float("nan"))
+
     @pytest.mark.parametrize("max_peaks", [0, -3])
     def test_max_peaks_floor(self, max_peaks):
         with pytest.raises(ValueError, match="max_peaks must be >= 1"):
@@ -432,6 +437,147 @@ class TestBatchedWalk:
         result, batches, reached = self.walk(monkeypatch, y, kernel, PeakConfig())
         assert result.k_tilde == uncapped.k_tilde > 500
         assert len(batches) == 1 and reached <= batches[0]
+
+
+def padded(grid):
+    """A grid with its circular neighbours at both ends, as `greedy_scan` holds |z|."""
+    return np.concatenate([grid[-1:], grid, grid[:1]])
+
+
+class TestPrunedRanking:
+    """A capped scan gives vertices and a sort only to the grid maxima whose a0 is at
+    least half the `first`-th largest a0: a vertex value lies in [a0, 9/8 a0]."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """The number of grid maxima each `_vertices` call receives."""
+        sizes = []
+        vertices = peaks._vertices
+
+        def counted(az, cand):
+            sizes.append(cand.size)
+            return vertices(az, cand)
+
+        monkeypatch.setattr(peaks, "_vertices", counted)
+        return sizes
+
+    @staticmethod
+    def assert_masked_scan(y, kernel, cfg, taken=()):
+        c = y.coeffs[y.f_c:] * kernel.ghat[y.f_c:]
+        result = greedy_scan(c, kernel.sigma, cfg.max_peaks, cfg.eta, taken)
+        tau0, values, iterations = masked_scan(y, kernel, cfg, taken=taken)
+        assert np.array_equal(result.tau0, tau0)
+        assert np.array_equal(result.peak_values, values)
+        assert result.iterations == iterations
+        return result
+
+    @pytest.fixture(scope="class")
+    def wideband(self):
+        kernel = build_kernel(1000, 1.5)
+        y, z = scan_input(kernel, 0, 0.0)
+        return kernel, y, np.count_nonzero(grid_vertices(z)[0])
+
+    @staticmethod
+    def assert_whole_sort(grid, first):
+        """A `_Ranking`, read in the walk's batches, ranks as the stable sort of every
+        vertex value does, and gives each batch's vertices bit for bit. Whether it
+        ruled maxima out is returned."""
+        az = padded(np.asarray(grid, dtype=float))
+        inner = az[1:-1]
+        cand = np.flatnonzero((inner >= az[:-2]) & (inner >= az[2:]))
+        vertex, peak = peaks._vertices(az, cand)
+        whole = np.argsort(-peak, kind="stable")
+        ranking = peaks._Ranking(az, cand, first)
+        pruned = ranking.peak.size < cand.size
+        assert ranking.size == cand.size
+        start = 0
+        for b in peaks._doubling(ranking, first):
+            ranked = whole[start:start + b.size]
+            assert np.array_equal(ranking.vertex[b], vertex[ranked])
+            assert np.array_equal(ranking.peak[b], peak[ranked])
+            start += b.size
+        assert start == cand.size
+        return pruned
+
+    def test_ranks_as_the_whole_sort(self):
+        # small integers: ties at the `first`-th largest a0 and at exactly half of
+        # it, which is kept, and vertex values above a0 up to 9/8 a0
+        rng = np.random.default_rng(3)
+        pruned = sum(self.assert_whole_sort(rng.integers(0, 65, rng.integers(3, 200)),
+                                            int(rng.integers(1, 41))) for _ in range(500))
+        assert pruned > 250
+
+    @pytest.mark.parametrize("grid", [
+        # a0 = 7 below kth = 7.5, but its vertex value 7.875 ranks first
+        [0, 7.5, 0, 0, 7, 7, 0, 0],
+        # 3.9 < kth / 2 is ruled out; its vertex value 4.3875 outranks the kept 4
+        [0, 8, 0, 0, 5, 0, 0, 4, 0, 0, 3.9, 3.9, 0, 0],
+    ], ids=["vertex_above_kth", "ruled_out_above_kept"])
+    def test_vertex_values_above_a0(self, grid):
+        self.assert_whole_sort(grid, 1)
+
+    @given(st.floats(1e-300, 1e300), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_vertex_value_lies_in_a0_to_9_8_a0(self, a0, fm, fp, um, up):
+        # neighbours a fraction of a0 below it, or a few units in the last place
+        am = np.nextafter(a0 * (1.0 - fm), 0.0) if um == 0 else a0 - um * np.spacing(a0)
+        ap = np.nextafter(a0 * (1.0 - fp), 0.0) if up == 0 else a0 - up * np.spacing(a0)
+        _, (v,) = peaks._vertices(np.array([am, a0, ap]), np.array([0]))
+        assert a0 <= v <= 1.125 * a0
+
+    def test_capped_wideband_scan_makes_few_vertices(self, wideband, monkeypatch):
+        # about 2,000 grid maxima, of which the 14 picks need 28 ranked
+        kernel, y, n_maxima = wideband
+        sizes = self.recorded(monkeypatch)
+        result = self.assert_masked_scan(y, kernel, PeakConfig(max_peaks=14))
+        assert result.k_tilde == 14 and n_maxima > 1900
+        assert len(sizes) == 1 and 28 <= sizes[0] < n_maxima / 10
+
+    def test_walk_past_the_first_batch_ranks_everything(self, wideband, monkeypatch):
+        # 12 taken positions rule out enough of the first 30 ranks that 3 picks need more
+        kernel, y, n_maxima = wideband
+        c = y.coeffs[y.f_c:] * kernel.ghat[y.f_c:]
+        taken = greedy_scan(c, kernel.sigma, 12).tau0
+        sizes = self.recorded(monkeypatch)
+        result = self.assert_masked_scan(y, kernel, PeakConfig(max_peaks=3), taken=taken)
+        assert result.k_tilde == 3
+        assert len(sizes) == 2 and sizes[0] < n_maxima / 10 and sizes[1] == n_maxima
+
+    def test_all_zero_spectrum_prunes_nothing(self, kernel50, monkeypatch):
+        # every grid point is a maximum of value 0, so the threshold is 0 too
+        y = Spectrum(50, np.zeros(101, dtype=complex))
+        sizes = self.recorded(monkeypatch)
+        result = self.assert_masked_scan(y, kernel50, PeakConfig(max_peaks=14))
+        assert result.k_tilde == 0 and result.iterations == 1
+        assert sizes == [grid_len(y)]
+
+    def test_flat_grid_ties_resolve_by_grid_index(self, kernel50, monkeypatch):
+        # one coefficient at l = 0: every grid point is a maximum of the same value
+        y = Spectrum(50, np.eye(1, 101, 50, dtype=complex)[0])
+        sizes = self.recorded(monkeypatch)
+        result = self.assert_masked_scan(y, kernel50, PeakConfig(max_peaks=3))
+        assert result.k_tilde == 3 and result.tau0[0] == 0.0
+        assert sizes == [grid_len(y)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [5e307, 1e308, 1.7e308])
+    def test_overflowing_grid_ranks_everything(self, kernel50, scale, monkeypatch):
+        # |c| near 1e308: |z| is infinite at some grid points, where a vertex value
+        # is NaN and ranks last, so the capped scan ranks every maximum
+        y = spike_fourier(SpikeTrain(TAU_EXAMPLE, ALPHA_EXAMPLE), 50)
+        y = Spectrum(50, y.coeffs * (scale / np.abs(y.coeffs).max()))
+        z = pointwise_mul(y, kernel50.spectrum())
+        assert np.isinf(eval_grid(z, grid_len(y))).any()
+        c = z.coeffs[50:]
+        uncapped = greedy_scan(c, kernel50.sigma)
+        sizes = self.recorded(monkeypatch)
+        result = greedy_scan(c, kernel50.sigma, 7)
+        assert result.k_tilde == 7 and np.isfinite(result.peak_values).all()
+        assert np.array_equal(result.tau0, uncapped.tau0[:7])
+        assert np.array_equal(result.peak_values, uncapped.peak_values[:7])
+        assert result.iterations == 7
+        assert sizes == [np.count_nonzero(grid_vertices(z)[0])]
 
 
 class TestNear:

@@ -120,6 +120,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nu must be >= 0"):
             ExperimentConfig(nu_grid=(0.0, -0.1))
 
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_level_rejected(self, nu):
+        with pytest.raises(ConfigError, match="nu must be finite"):
+            ExperimentConfig(nu_grid=(0.0, nu))
+
     def test_repeated_noise_level_rejected(self):
         with pytest.raises(ConfigError, match="nu values must differ"):
             ExperimentConfig(nu_grid=(0.0, 0.2, -0.0))
@@ -472,6 +477,8 @@ class TestCli:
         ["mc", "--trials", "0"],
         ["mc", "--k", "30", "--sep-min", "0.05"],
         ["mc", "--nu", "0.0", "-0.1"],
+        ["mc", "--nu", "nan"],
+        ["mc", "--nu", "0.0", "inf"],
         ["mc", "--trials", "4", "--nu", "0", "0.2", "0"],  # summary rows are per nu value
         ["mc", "--sep-min", "-0.5"],
         ["gradcheck", "--n-points", "0"],
@@ -496,7 +503,8 @@ class TestCli:
         ["solve", "--input", "EXAMPLE", "--fc", "50", "--c1", "30"],
         ["mc", "--c1", "30", "--trials", "3", "--nu", "0"],
         ["gradcheck", "--c1", "30", "--n-points", "1"],
-    ], ids=["oversample", "k", "trials", "overfull", "nu", "nu_repeated", "sep_min", "n_points",
+    ], ids=["oversample", "k", "trials", "overfull", "nu", "nu_nan", "nu_inf", "nu_repeated",
+            "sep_min", "n_points",
             "mc_c1", "mc_c2", "mc_fc", "kernel_c", "kernel_sigma", "kernel_fc", "kernel_grid",
             "kernel_grid_zero",
             "phase1_c1", "solve_c1", "solve_c2", "gradcheck_c1", "gradcheck_c2",
@@ -511,7 +519,10 @@ class TestCli:
         (["phase1", "--oversample", "32"], "unrecognized arguments: --oversample 32"),
         (["solve", "--oversample", "8"], "unrecognized arguments: --oversample 8"),
         (["solve", "--eta", "-1"], "eta must be >= 0"),
-    ], ids=["phase1_oversample", "solve_oversample", "solve_eta"])
+        (["solve", "--eta", "nan"], "eta must be >= 0"),
+        (["phase1", "--eta", "nan"], "eta must be >= 0"),
+    ], ids=["phase1_oversample", "solve_oversample", "solve_eta", "solve_eta_nan",
+            "phase1_eta_nan"])
     def test_out_of_range_peak_setting_is_usage_error(self, example_csv, capsys, argv,
                                                       message):
         argv = argv + ["--input", example_csv, "--fc", "50", "--c1", "1.5"]
