@@ -20,6 +20,7 @@ from .refine import (
     BoxConstraint,
     DegenerateDictionaryError,
     NewtonConfig,
+    Solution,
     SolveReport,
     build_G,
     gradient_F,
@@ -27,6 +28,7 @@ from .refine import (
     least_squares_beta,
     objective_F,
     run_newton,
+    solve,
     solve_phase2,
 )
 from .slepian import SlepianKernel, build_kernel

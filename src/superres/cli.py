@@ -24,7 +24,7 @@ from .experiments import (
     summarize,
 )
 from .peaks import PeakConfig, find_peaks
-from .refine import STATUS_CONVERGED, solve_phase2
+from .refine import STATUS_CONVERGED, solve
 from .spectral import Spectrum, ells, eval_grid, load_spectrum_csv
 
 EXIT_OK = 0
@@ -127,10 +127,8 @@ def _cmd_solve(args) -> int:
     y = _load_input(args)
     cfg = _peak_config(args)
     c2 = args.c2 if args.c2 is not None else 1.5 * args.c1
-    kernel1 = checked_kernel1(args.fc, args.c1, "--c1")
-    kernel2 = checked_kernel(args.fc, c2, "--c2")
-    peaks = find_peaks(y, kernel1, cfg)
-    report = solve_phase2(y, peaks.tau0, kernel1, kernel2)
+    peaks, report = solve(y, checked_kernel1(args.fc, args.c1, "--c1"),
+                          checked_kernel(args.fc, c2, "--c2"), cfg)
     print(json.dumps({
         "k_tilde": peaks.k_tilde,
         "positions": list(report.tau_tilde),

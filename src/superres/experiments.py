@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .circle import hausdorff, wrap
-from .peaks import PeakConfig, find_peaks
-from .refine import (BoxConstraint, DegenerateDictionaryError, _evaluate, _gradient, _hessian,
-                     _problem, solve_phase2)
+from .peaks import PeakConfig
+from .refine import (BoxConstraint, DegenerateDictionaryError, Solution, _evaluate, _gradient,
+                     _hessian, _problem, solve)
 from .slepian import SlepianKernel, build_kernel
 from .spectral import SpikeTrain, add, spike_fourier, synth_noise
 
@@ -77,8 +77,9 @@ class TrialRecord:
     sample_ms: float  # instance, its spectrum and the noise when nu > 0
     tau_estimate: np.ndarray = field(default_factory=lambda: np.array([]))
     tau_true: np.ndarray = field(default_factory=lambda: np.array([]))
-    # phase 2's final box centres: phase-1 and re-seed picks (the phase-1 picks if it did not run)
+    # phase 2's final box centres: phase-1 and re-seed picks (solution.peaks holds phase 1's)
     tau_init: np.ndarray = field(default_factory=lambda: np.array([]))
+    solution: Solution | None = None  # None when the trial raised
 
 
 @functools.lru_cache(maxsize=16)
@@ -156,27 +157,27 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, nu: float) -> TrialRecord:
     y = xhat if noise is None else add(xhat, noise)  # a noiseless trial measures xhat
 
     k_tilde = reseeds = 0
-    estimate = np.array([])
-    tau_init = np.array([])
+    status, err = "error", FAILED_TRIAL_ERR
+    estimate = tau_init = np.array([])
     try:
-        kernel1 = cached_kernel(cfg.f_c, cfg.c1)
         # The spike count is known, so the scan keeps the k largest peaks (eta = 0).
-        peaks = find_peaks(y, kernel1, PeakConfig(max_peaks=cfg.k))
-        k_tilde = peaks.k_tilde
-        tau_init = peaks.tau0
-        report = solve_phase2(y, peaks.tau0, kernel1, cached_kernel(cfg.f_c, cfg.c2))
-        tau_init, reseeds = report.centres, report.reseeds
-        estimate, status = report.tau_tilde, report.status
-        err = hausdorff(estimate, truth.positions) if estimate.size else FAILED_TRIAL_ERR
+        solution = solve(y, cached_kernel(cfg.f_c, cfg.c1), cached_kernel(cfg.f_c, cfg.c2),
+                         PeakConfig(max_peaks=cfg.k))
     except ValueError:  # DegenerateDictionaryError is a ValueError
-        status, err = "error", FAILED_TRIAL_ERR
+        solution = None
+    else:
+        report = solution.report
+        k_tilde, status, reseeds = solution.peaks.k_tilde, report.status, report.reseeds
+        estimate, tau_init = report.tau_tilde, report.centres
+        if estimate.size:
+            err = hausdorff(estimate, truth.positions)
 
     runtime_ms = 1000.0 * (time.perf_counter() - start)
     return TrialRecord(seed=trial_seed, nu=nu, hausdorff_err=err, k_tilde=k_tilde,
                        status=status, reseeds=reseeds, runtime_ms=runtime_ms,
                        sample_ms=sample_ms,
                        tau_estimate=estimate, tau_true=truth.positions,
-                       tau_init=tau_init)
+                       tau_init=tau_init, solution=solution)
 
 
 def trial_seed_for(cfg: ExperimentConfig, nu_index: int, trial_index: int) -> int:

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .circle import positions, separation, wrap, wrap_signed
-from .peaks import greedy_scan
+from .peaks import PeakConfig, PeakResult, find_peaks, greedy_scan
 from .slepian import SlepianKernel
 from .spectral import Spectrum, half_band, phasor_rows
 
@@ -349,3 +350,16 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
             break
         centres, tau = np.append(centres, pick), np.append(tau, pick)
     return replace(report, reseeds=reseeds)
+
+
+class Solution(NamedTuple):
+    peaks: PeakResult  # phase 1's picks
+    report: SolveReport  # phase 2 from them; its centres are the final box centres
+
+
+def solve(y: Spectrum, kernel1: SlepianKernel, kernel2: SlepianKernel,
+          cfg: PeakConfig) -> Solution:
+    """The pipeline: `find_peaks` at kernel1 and cfg, then `solve_phase2` from its picks.
+    A ValueError of either phase, DegenerateDictionaryError included, reaches the caller."""
+    peaks = find_peaks(y, kernel1, cfg)
+    return Solution(peaks, solve_phase2(y, peaks.tau0, kernel1, kernel2))

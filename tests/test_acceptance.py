@@ -105,7 +105,8 @@ def test_criterion_3_noiseless_success_rate():
 
 def test_criterion_4_noise_degradation(kernel1):
     """Error grows gracefully with the noise level, and every converged trial
-    that started within sigma of the truth ends within the 2*sigma box bound."""
+    whose final box centres (tau_init: phase-1 and re-seed picks) lie within
+    sigma of the truth ends within the 2*sigma box bound."""
     nu_grid = (0.0, 0.05, 0.1, 0.2)
     cfg = ExperimentConfig(k=14, sep_min=0.04, trials=100, nu_grid=nu_grid)
     records = run_monte_carlo(cfg)

@@ -59,3 +59,17 @@ def test_compare_against_its_own_csv_then_an_edited_status(tool, small_clean, tm
     assert "1 of 6 rows differ" in out
     assert "  status: 1\n" in out and "  phase1_sha256: 0\n" in out
     assert "  max_iter -> converged: 1\n" in out
+
+
+def test_mc_rows_carry_the_trial_solution(tool, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tool, "MC_TRIALS", 2)
+    path = tmp_path / "mc.csv"
+    monkeypatch.setattr(sys, "argv", ["outcomes.py", "--workloads", "mc", "--out", str(path)])
+    assert tool.main() == 0
+    rows = list(tool.run(["mc"], [1]))
+    assert [(r["index"], r["status"]) for r in rows] == [
+        (0, "converged"), (1, "converged"), (0, "converged"), (1, "converged")]
+    assert all(r["report_sha256"] and r["phase1_sha256"] and r["beta"] for r in rows)
+    capsys.readouterr()
+    assert tool.compare(rows, str(path)) == 0
+    assert "0 of 4 rows differ" in capsys.readouterr().out

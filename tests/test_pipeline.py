@@ -3,7 +3,7 @@
 import hashlib
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from superres.experiments import (
     EXACT_RECOVERY_ERR,
     ConfigError,
     ExperimentConfig,
-    TrialRecord,
     cached_kernel,
     gradcheck,
     run_monte_carlo,
@@ -26,11 +25,13 @@ from superres.experiments import (
     trial_seed_for,
 )
 from superres.peaks import PeakConfig, find_peaks
-from superres.refine import BoxConstraint, SolveReport, run_newton
+from superres.refine import (BoxConstraint, DegenerateDictionaryError, SolveReport,
+                             run_newton, solve)
 from superres.spectral import (
     Spectrum,
     SpikeTrain,
     add,
+    load_spectrum_csv,
     pointwise_mul,
     save_spectrum_csv,
     spike_fourier,
@@ -73,6 +74,22 @@ def usage_error(argv, capsys) -> str:
     out, err = capsys.readouterr()
     assert out == ""
     return re.sub(r"\Ausage: .*?\n(?! )", "", err, flags=re.S)
+
+
+def assert_fields_equal(a, b, skip=(), path="record"):
+    """Every field of two records, nested dataclasses and NamedTuples included, equal by
+    np.array_equal, but for the field names in skip."""
+    assert type(a) is type(b), path
+    if is_dataclass(a) or hasattr(a, "_fields"):
+        for name in (f.name for f in fields(a)) if is_dataclass(a) else a._fields:
+            if name not in skip:
+                assert_fields_equal(getattr(a, name), getattr(b, name), skip, f"{path}.{name}")
+    else:
+        assert np.array_equal(a, b), path
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def min_gaps(rows):
@@ -231,11 +248,34 @@ class TestRunTrial:
             assert r.tau_init.shape == r.tau_estimate.shape == (r.k_tilde,)
             assert np.all(wrap_dist(r.tau_estimate, r.tau_init) <= SIGMA1 + 1e-12)
 
+    def test_solution_keeps_the_phase1_picks(self):
+        # trial 5 re-seeds: tau_init holds the final box centres, solution.peaks the picks
+        seed = trial_seed_for(CRITERION_3, 0, 5)
+        y = spike_fourier(sample_instance(CRITERION_3, seed), 50)
+        picks = find_peaks(y, cached_kernel(50, 1.5), PeakConfig(max_peaks=14))
+        record = run_trial(CRITERION_3, seed, 0.0)
+        assert record.reseeds >= 1
+        assert same_bits(record.solution.peaks.tau0, picks.tau0)
+        assert same_bits(record.solution.peaks.peak_values, picks.peak_values)
+        assert record.solution.peaks.k_tilde == record.k_tilde == 14
+        assert same_bits(record.tau_init, record.solution.report.centres)
+        assert not np.array_equal(record.tau_init, picks.tau0)
+
+    def test_phase2_error_is_an_error_record(self, monkeypatch):
+        def degenerate(*args):
+            raise DegenerateDictionaryError("degenerate dictionary")
+
+        monkeypatch.setattr(superres.refine, "solve_phase2", degenerate)
+        record = run_trial(EASY, trial_seed_for(EASY, 0, 0), 0.0)
+        assert (record.status, record.hausdorff_err, record.solution) == ("error", 0.5, None)
+        # phase 1 ran, but an error record keeps none of its picks
+        assert record.k_tilde == record.reseeds == record.tau_init.size == 0
+
     def test_no_pick_is_a_no_peaks_record(self, monkeypatch):
         # phase 2 reports the empty pick list; the trial scores it as a failure
         empty = find_peaks(Spectrum(50, np.zeros(101)), cached_kernel(50, 1.5), PeakConfig())
         assert empty.k_tilde == 0
-        monkeypatch.setattr(superres.experiments, "find_peaks", lambda *args: empty)
+        monkeypatch.setattr(superres.refine, "find_peaks", lambda *args: empty)
         record = run_trial(EASY, trial_seed_for(EASY, 0, 0), 0.0)
         assert (record.status, record.hausdorff_err, record.reseeds) == ("no_peaks", 0.5, 0)
         assert record.k_tilde == record.tau_estimate.size == record.tau_init.size == 0
@@ -249,11 +289,9 @@ class TestRunTrial:
             m.setattr(superres.experiments, "spike_fourier",
                       lambda x, f_c: add(spike_fourier(x, f_c), synth_noise(f_c, 0.0, 0)))
             summed = [run_trial(CRITERION_3, seed, 0.0) for seed in seeds]
-        clocks = {"runtime_ms", "sample_ms"}
+        assert all(r.solution is not None for r in direct)
         for a, b in zip(direct, summed):
-            for f in fields(TrialRecord):
-                if f.name not in clocks:
-                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+            assert_fields_equal(a, b, skip={"runtime_ms", "sample_ms"})
 
     def test_noiseless_trial_draws_no_noise(self, monkeypatch):
         def refuse(*args):
@@ -378,6 +416,17 @@ class TestCli:
         assert payload["status"] == "converged"
         got = np.sort(payload["positions"])
         assert np.abs(got - TAU_EXAMPLE).max() < 1e-9
+
+    def test_solve_prints_the_pipeline_function(self, example_csv, capsys):
+        assert main(["solve", "--input", example_csv, "--fc", "50",
+                     "--c1", "1.5", "--eta", "5.0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        peaks, report = solve(load_spectrum_csv(example_csv), cached_kernel(50, 1.5),
+                              cached_kernel(50, 2.25), PeakConfig(eta=5.0))
+        assert payload["k_tilde"] == peaks.k_tilde == 7
+        assert same_bits(payload["positions"], report.tau_tilde)
+        assert same_bits(payload["amplitudes"], report.beta)
+        assert same_bits(payload["f_trace"], report.f_trace)
 
     @pytest.mark.parametrize("status,code", [
         ("converged", 0), ("stalled", 2), ("max_iter", 2), ("hessian_not_pd", 2),

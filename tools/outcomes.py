@@ -5,8 +5,8 @@
     python3 tools/outcomes.py --workloads mc --out new.csv --against old.csv
 
 Each instance of `make_pool` (bench/inputs.py) for the chosen entries of
-bench/run.py's WORKLOADS, with their settings, is solved as `superres solve`
-and `run_trial` do: find_peaks(max_peaks=K) -> solve_phase2. The first
+bench/run.py's WORKLOADS, with their settings, is solved by `refine.solve` at
+PeakConfig(max_peaks=K), as `superres solve` and `run_trial` do. The first
 UNCAPPED instances of each pool also run an uncapped find_peaks. One CSV
 row per run gives the workload, seed, index, scan (`K` or `all`), status,
 Newton iterations, re-seeds, phase-1 iterations, a sha256 of the bytes of
@@ -20,9 +20,9 @@ outcomes, and a change that moves only phase 2's rounding shows in
 The `mc` entry runs `run_trial`, as `superres mc` does, on
 trial_seed_for(ExperimentConfig(), i, t) for nu = MC_NU[i] and the first
 MC_TRIALS trials t; --seeds does not apply to it. Its rows have the trial seed
-in `seed`, t in `index`, the status and re-seeds, in `phase2_sha256` a
-sha256 of tau_init, tau_estimate and the Hausdorff error, and tau_estimate in
-`tau` (`beta` and `report_sha256` are empty). So a change to the
+in `seed`, t in `index` and in `phase2_sha256` a sha256 of tau_init,
+tau_estimate and the Hausdorff error; `newton_iterations` is empty, and every
+other column is a pool row's, from the trial's Solution. So a change to the
 instance sampling or the measurement (`sample_instance`, `spike_fourier`,
 `synth_noise`, `add`) shows there, although the pools are built without them.
 
@@ -60,15 +60,13 @@ for var in THREAD_VARS:
 import numpy as np  # noqa: E402
 
 from inputs import make_pool  # noqa: E402
-from superres.circle import wrap_dist  # noqa: E402
+from superres import PeakConfig, find_peaks, solve, wrap_dist  # noqa: E402
 from superres.experiments import (  # noqa: E402
     ExperimentConfig,
     cached_kernel,
     run_trial,
     trial_seed_for,
 )
-from superres.peaks import PeakConfig, find_peaks  # noqa: E402
-from superres.refine import solve_phase2  # noqa: E402
 
 COLUMNS = ("workload", "seed", "index", "scan", "status", "newton_iterations", "reseeds",
            "phase1_iterations", "phase1_sha256", "phase2_sha256", "report_sha256", "tau", "beta")
@@ -96,26 +94,26 @@ def _digits(a) -> str:
     return " ".join(f"{v:.17g}" for v in np.asarray(a, dtype=float))
 
 
+def _columns(peaks, report=None) -> dict:
+    """The columns of a `refine.solve` Solution, or of an uncapped scan's picks alone."""
+    row = {**EMPTY, "phase1_iterations": peaks.iterations,
+           "phase1_sha256": _sha([peaks.tau0, peaks.peak_values])}
+    if report is not None:
+        row.update(status=report.status, newton_iterations=report.iterations,
+                   reseeds=report.reseeds, phase2_sha256=_sha([report.tau_tilde, report.beta]),
+                   report_sha256=_sha([report.f_trace, report.grad_norm_final]),
+                   tau=_digits(report.tau_tilde), beta=_digits(report.beta))
+    return row
+
+
 def outcome(y, kernel1, kernel2, max_peaks) -> dict:
     """The outcome columns of one solve (max_peaks set) or one uncapped scan."""
     try:
-        peaks = find_peaks(y, kernel1, PeakConfig(max_peaks=max_peaks))
-    except ValueError:
+        if max_peaks is None:
+            return _columns(find_peaks(y, kernel1, PeakConfig()))
+        return _columns(*solve(y, kernel1, kernel2, PeakConfig(max_peaks=max_peaks)))
+    except ValueError:  # DegenerateDictionaryError is a ValueError
         return {**EMPTY, "status": "error"}
-    row = {**EMPTY, "phase1_iterations": peaks.iterations,
-           "phase1_sha256": _sha([peaks.tau0, peaks.peak_values])}
-    if max_peaks is not None:
-        try:
-            report = solve_phase2(y, peaks.tau0, kernel1, kernel2)
-        except ValueError:  # DegenerateDictionaryError is a ValueError
-            row["status"] = "error"
-        else:
-            row.update(status=report.status, newton_iterations=report.iterations,
-                       reseeds=report.reseeds,
-                       phase2_sha256=_sha([report.tau_tilde, report.beta]),
-                       report_sha256=_sha([report.f_trace, report.grad_norm_final]),
-                       tau=_digits(report.tau_tilde), beta=_digits(report.beta))
-    return row
 
 
 def run_mc():
@@ -123,10 +121,10 @@ def run_mc():
     for i, nu in enumerate(MC_NU):
         for t in range(MC_TRIALS):
             rec = run_trial(cfg, trial_seed_for(cfg, i, t), nu)
-            yield {**EMPTY, "workload": "mc", "seed": rec.seed, "index": t, "scan": "K",
-                   "status": rec.status, "reseeds": rec.reseeds,
-                   "phase2_sha256": _sha([rec.tau_init, rec.tau_estimate, rec.hausdorff_err]),
-                   "tau": _digits(rec.tau_estimate)}
+            row = EMPTY if rec.solution is None else _columns(*rec.solution)
+            yield {**row, "workload": "mc", "seed": rec.seed, "index": t, "scan": "K",
+                   "status": rec.status, "reseeds": rec.reseeds, "newton_iterations": "",
+                   "phase2_sha256": _sha([rec.tau_init, rec.tau_estimate, rec.hausdorff_err])}
 
 
 def run(workloads, seeds):
