@@ -5,6 +5,10 @@ which box-constrained projected Newton refinement then sharpens to (in the
 noise-free case) machine precision.
 """
 
+# numpy loads numpy.fft on first use; load it here, so that the first kernel build
+# or phase-1 scan of a process does not pay for it.
+import numpy.fft  # noqa: F401
+
 from .circle import hausdorff, separation, wrap, wrap_dist
 from .experiments import (
     ExperimentConfig,

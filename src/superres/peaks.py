@@ -14,9 +14,9 @@ the candidates, which become floats in doubling batches from 2 (cap + taken): a
 capped scan converts only those it reaches. As a vertex value lies between a0, the
 grid maximum's value, and 9/8 a0, a capped scan computes the vertices of, and
 sorts, only the grid maxima whose a0 is at least half the 2 (cap + taken)-th
-largest a0 (about 60 of 2,000 at f_C = 1000 and cap 14), and ranks the others only
-if its walk goes past the first batch. Phase 2's re-seed runs the same scan
-(`greedy_scan`) on its residual's half band.
+largest a0 (about 60 of 2,000 at f_C = 1000 and cap 14). A walk past the first
+batch ranks again, the maxima that can reach the end of the batch it walks into.
+Phase 2's re-seed runs the same scan (`greedy_scan`) on its residual's half band.
 """
 
 from __future__ import annotations
@@ -113,26 +113,25 @@ class _Ranking:
     index (a stable sort), for a walk that reads the first `first` ranks before any
     other. A slice gives indices into `vertex` and `peak`, the `_vertices` of the
     maxima ranked so far. Where `_contenders` rules maxima out, only the others are
-    ranked, which orders the first `first` as ranking every maximum does; the first
-    slice that reaches past them ranks every maximum, replacing vertex and peak."""
+    ranked, which orders the first `first` as ranking every maximum does; a slice that
+    reaches past them ranks again, the contenders for the first ranks up to its end,
+    replacing vertex and peak."""
 
     def __init__(self, az: np.ndarray, cand: np.ndarray, first: int):
         self.size = cand.size
         self._az, self._cand = az, cand
-        keep = _contenders(az, cand, first)
-        if keep is None:
-            self._rank_all()
-        else:
-            self.vertex, self.peak = _vertices(az, cand[keep])
-            self._order = (-self.peak).argsort(kind="stable")[:first]
+        self._rank(first)
 
-    def _rank_all(self):
-        self.vertex, self.peak = _vertices(self._az, self._cand)
-        self._order = (-self.peak).argsort(kind="stable")
+    def _rank(self, first: int):
+        keep = _contenders(self._az, self._cand, first)
+        cand = self._cand if keep is None else self._cand[keep]
+        self.vertex, self.peak = _vertices(self._az, cand)
+        order = (-self.peak).argsort(kind="stable")
+        self._order = order if keep is None else order[:first]
 
     def __getitem__(self, s: slice) -> np.ndarray:
         if s.stop > self._order.size < self.size:
-            self._rank_all()
+            self._rank(s.stop)
         return self._order[s]
 
 
@@ -165,7 +164,8 @@ def greedy_scan(c: np.ndarray, sigma: float, cap: Optional[int] = None, eta: flo
     both circular neighbours in place: a local maximum is two comparisons and
     `_vertices` three gathers, with no special case at the grid's ends. As a vertex
     value lies in [a0, 9/8 a0], a capped scan ranks only the maxima that can reach
-    its first batch (`_contenders`), and all of them only if it walks past it.
+    its first batch (`_contenders`), and past it only those that can reach the end of
+    the batch it walks into.
     """
     m = smooth_len(OVERSAMPLE * (2 * c.size - 1))
     az = np.empty(m + 2)  # |z| on the grid, with its circular neighbours at both ends

@@ -3,8 +3,9 @@
 The objective F(rho) = ||(I - P_rho) zhat||^2 measures how much of the
 filtered measurement cannot be explained by kernels placed at rho, with
 amplitudes eliminated by least squares (a variable-projection objective).
-One evaluation at rho builds the dictionary and its Gram Cholesky factor,
-solves for the amplitudes beta and forms the residual r = zhat - G beta.
+One evaluation at rho builds the dictionary and the inverse of its Gram
+matrix, which gives the amplitudes beta as a product, and forms the residual
+r = zhat - G beta.
 That record is all that F, its gradient and its Hessian read, so the Newton
 loop evaluates each point it visits once, and an accepted line-search
 candidate's record becomes the next iterate's state.
@@ -30,7 +31,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.linalg import LinAlgError, cholesky, inv
+from numpy.linalg import solve as solve_linear
 
 from .circle import positions, separation, wrap, wrap_signed
 from .peaks import PeakConfig, PeakResult, find_peaks, greedy_scan
@@ -66,7 +68,7 @@ class _Problem:
     f_c: int
     sqrt_w: np.ndarray  # sqrt(w_l)
     ghat: np.ndarray  # sqrt(w_l) ghat2[l], complex so that products with phasors need no cast
-    ls: np.ndarray  # 2 pi i l
+    ls: np.ndarray  # 2 pi i l; both run on with zeros over the last phasor block
     z: np.ndarray  # sqrt(w_l) zhat[l] as interleaved real and imaginary parts, or empty
 
 
@@ -79,14 +81,13 @@ def _problem(kernel: SlepianKernel, zhat: np.ndarray | None = None) -> _Problem:
                     z=np.empty(0) if zhat is None else (sqrt_w * zhat).view(float))
 
 
-@dataclass(frozen=True)
-class DictionaryMatrix:
+class DictionaryMatrix(NamedTuple):
     """Kernel coefficients modulated to candidate positions, their derivatives, the
-    products of all of them and the Gram factor."""
+    products of all of them and the Gram inverse."""
 
     V: np.ndarray  # 2K x 2(f_C + 1): real view of Y = [sqrt(w) G^T; sqrt(w) (2 pi i l) G^T]
     Q: np.ndarray  # V V^T: the Gram matrix, G* (2 pi i l) G and -G* (2 pi i l)^2 G as blocks
-    gram_chol: np.ndarray  # lower-triangular Cholesky factor of the Gram matrix Q[:K, :K]
+    gram_inv: np.ndarray  # inverse of the Gram matrix Q[:K, :K]
 
 
 @dataclass(frozen=True)
@@ -125,30 +126,44 @@ class SolveReport:
 def build_G(rho, kernel: SlepianKernel | _Problem) -> DictionaryMatrix:
     """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} (l >= 0), stacked
     with its derivatives and weighted as Y, with the products Q = V V^T of its real
-    view V and the Gram factor. kernel is kernel 2 or a solve's `_Problem` at it. The
-    phasors are written straight into Y's rows (`spectral.phasor_rows`)."""
-    prob = kernel if isinstance(kernel, _Problem) else _problem(kernel)
-    k = np.size(rho)
-    y = np.empty((2 * k, prob.f_c + 1), dtype=complex)
-    phasor_rows(prob.f_c, -positions(rho), y[:k])
-    y[:k] *= prob.ghat
-    np.multiply(y[:k], prob.ls, out=y[k:])
-    v = y.view(float)
+    view V and the Gram inverse. kernel is kernel 2 or a solve's `_Problem` at it. The
+    phasors are written straight into Y's rows (`spectral.phasor_rows`).
+
+    The dictionary is degenerate unless every diagonal entry of the Gram inverse lies
+    in (0, 1e6]. 1 / (G^-1)_ii is atom i's squared distance from the span of the
+    others, at most the square of the i-th diagonal entry of the Gram's Cholesky
+    factor, so this refuses every dictionary that a factor entry below 1e-3 would.
+    The lower end catches an inverse that rounding has made indefinite."""
+    return _dictionary(kernel if isinstance(kernel, _Problem) else _problem(kernel),
+                       positions(rho))
+
+
+def _dictionary(prob: _Problem, rho: np.ndarray) -> DictionaryMatrix:
+    """`build_G` at finite positions rho, not reduced mod 1: the phasors are 1-periodic."""
+    k = rho.size
+    rows = np.empty((2 * k, prob.ghat.size), dtype=complex)  # whole blocks past f_C
+    phasor_rows(prob.f_c, -rho, rows[:k])
+    rows[:k] *= prob.ghat
+    np.multiply(rows[:k], prob.ls, out=rows[k:])
+    v = rows[:, :prob.f_c + 1].view(float)  # strided: the product reads it in place
     q = v @ v.T
-    chol, info = dpotrf(q[:k, :k], lower=1, clean=1)
     # Exact duplicates make the Gram singular; near-duplicates leave it numerically
     # PD but useless.
-    if info > 0 or chol.diagonal().min() < 1e-3:
+    try:
+        gram_inv = inv(q[:k, :k])
+    except LinAlgError:
+        raise DegenerateDictionaryError("degenerate dictionary") from None
+    if not all(0.0 < g <= 1e6 for g in gram_inv.diagonal().tolist()):  # NaN fails too
         raise DegenerateDictionaryError("degenerate dictionary")
-    return DictionaryMatrix(V=v, Q=q, gram_chol=chol)
+    return DictionaryMatrix(V=v, Q=q, gram_inv=gram_inv)
 
 
 def _beta(d: DictionaryMatrix, z: np.ndarray) -> np.ndarray:
-    return dpotrs(d.gram_chol, d.V[: d.gram_chol.shape[0]] @ z, lower=1)[0]
+    return d.gram_inv @ (d.V[: d.gram_inv.shape[0]] @ z)
 
 
 def least_squares_beta(d: DictionaryMatrix, zhat: Spectrum) -> np.ndarray:
-    """Amplitudes minimizing ||G beta - zhat||^2, via the Gram Cholesky factor."""
+    """Amplitudes minimizing ||G beta - zhat||^2, via the Gram inverse."""
     return _beta(d, (np.sqrt(half_band(zhat.f_c)[1]) * zhat.coeffs[zhat.f_c:]).view(float))
 
 
@@ -162,8 +177,8 @@ class _Point:
     f: float
 
 
-def _evaluate(prob: _Problem, rho) -> _Point:
-    d = build_G(rho, prob)
+def _evaluate(prob: _Problem, rho: np.ndarray) -> _Point:
+    d = _dictionary(prob, rho)
     beta = _beta(d, prob.z)
     r = prob.z - beta @ d.V[: beta.size]
     return _Point(d=d, beta=beta, r=r, f=float(r @ r))
@@ -174,7 +189,7 @@ def _gradient(prob: _Problem, p: _Point) -> tuple[np.ndarray, np.ndarray]:
     rows are -Re G* (2 pi i l) r and -Re G* (2 pi i l)^2 r, which the Hessian reuses."""
     rrl = np.empty((2, p.r.size))
     rrl[0] = p.r
-    np.multiply(prob.ls, p.r.view(complex), out=rrl[1].view(complex))
+    np.multiply(prob.ls[:prob.f_c + 1], p.r.view(complex), out=rrl[1].view(complex))
     w = rrl @ p.d.V[p.beta.size:].T
     return 2.0 * p.beta * w[0], w
 
@@ -188,7 +203,7 @@ def _hessian(p: _Point, w: np.ndarray) -> np.ndarray:
     h.reshape(-1)[:: k + 1] += b * w[1]  # the diagonals, as strided views
     bracket = b[:, None] * q[:k, k:]
     bracket.reshape(-1)[:: k + 1] += w[0]
-    h -= bracket @ dpotrs(p.d.gram_chol, bracket.T, lower=1)[0]
+    h -= bracket @ p.d.gram_inv @ bracket.T
 
     asym = np.abs(h - h.T).max()
     scale = max(np.abs(h).max(), 1e-300)
@@ -199,17 +214,17 @@ def _hessian(p: _Point, w: np.ndarray) -> np.ndarray:
 
 def objective_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> float:
     """Residual energy after least-squares elimination of the amplitudes."""
-    return _evaluate(_problem(kernel, zhat.coeffs[zhat.f_c:]), rho).f
+    return _evaluate(_problem(kernel, zhat.coeffs[zhat.f_c:]), positions(rho)).f
 
 
 def gradient_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
     prob = _problem(kernel, zhat.coeffs[zhat.f_c:])
-    return _gradient(prob, _evaluate(prob, rho))[0]
+    return _gradient(prob, _evaluate(prob, positions(rho)))[0]
 
 
 def hessian_F(rho, kernel: SlepianKernel, zhat: Spectrum) -> np.ndarray:
     prob = _problem(kernel, zhat.coeffs[zhat.f_c:])
-    p = _evaluate(prob, rho)
+    p = _evaluate(prob, positions(rho))
     return _hessian(p, _gradient(prob, p)[1])
 
 
@@ -230,7 +245,7 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
     position, so it is evaluated at box.center + u without wrapping.
 
     Step: on the free coordinates, |u_i| < r - eps with eps the last projected
-    step length, v solves H v = g by Cholesky; elsewhere v_i = g_i / H_ii, or
+    step length, v solves H v = g; elsewhere v_i = g_i / H_ii, or
     g_i where H_ii <= 0. The first of c = clip(u - lambda v, -r, r), lambda =
     1, 1/2, ..., 2^-MAX_BACKTRACKS, whose positions differ from the iterate's
     and which lowers F by ARMIJO_CONST times the predicted decrease
@@ -239,7 +254,8 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
     Stop: converged when the projected full step is at most 1e-12 sqrt(K), or
     when the predicted decrease g . (u - clip(u - v, -r, r)) is at most
     PRED_RTOL * F; stalled when no trial point is taken; hessian_not_pd when
-    the free block has no Cholesky factor; max_iter when cfg.max_iter ran out.
+    the free block has no Cholesky factor (`numpy.linalg.cholesky`, which is the
+    positive-definiteness test); max_iter when cfg.max_iter ran out.
     """
     r = box.radius
     u = wrap_signed(np.atleast_1d(np.asarray(tau0, dtype=float)), box.center)
@@ -256,19 +272,21 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
         iterations += 1
         grad, w = _gradient(prob, p)
         hess = _hessian(p, w)
-        every = np.abs(u).max() < r - eps  # all free, the usual case: v is the Cholesky step
+        every = np.abs(u).max() < r - eps  # all free, the usual case: v is the Newton step
         if not every:
             free = np.abs(u) < r - eps
             v = grad / np.where(hess.diagonal() > 0.0, hess.diagonal(), 1.0)
-        if every or free.any():  # LAPACK rejects the empty block; then v is the diagonal step
-            chol, info = dpotrf(hess if every else hess[np.ix_(free, free)], lower=1, clean=1)
-            if info > 0:
+        if every or free.any():  # with no free coordinate, v is the diagonal step
+            block = hess if every else hess[np.ix_(free, free)]
+            try:
+                cholesky(block)
+            except LinAlgError:
                 status = STATUS_HESSIAN_NOT_PD
                 break
             if every:
-                v = dpotrs(chol, grad, lower=1)[0]
+                v = solve_linear(block, grad)
             else:
-                v[free] = dpotrs(chol, grad[free], lower=1)[0]
+                v[free] = solve_linear(block, grad[free])
 
         cand = np.minimum(np.maximum(u - v, -r), r)  # the projected full step
         step = u - cand

@@ -57,21 +57,26 @@ def _factors(f_c: int) -> tuple[int, np.ndarray]:
     return b, w
 
 
+def phasor_width(f_c: int) -> int:
+    """J B, the columns that `phasor_rows` writes: f_C + 1 rounded up to whole blocks of B."""
+    b, w = _factors(f_c)
+    return (w.size - b) * b
+
+
 def phasor_rows(f_c: int, t, out: np.ndarray) -> np.ndarray:
-    """e^{2 pi i l t[i]} at row i, column l = 0 .. f_C, written into out (len(t) x (f_C + 1)).
+    """e^{2 pi i l t[i]} at row i, column l = 0 .. f_C: written into out, of len(t) x
+    `phasor_width(f_c)` entries, and returned as out's view on its first f_C + 1 columns.
 
     Each is e^{2 pi i j B t} e^{2 pi i k t} for l = j B + k (see `_factors`), so J + B
-    exponentials and N complex products per position, with no J x B temporary: the
-    full blocks of B entries, then the partial last one. The error is that of the
-    direct exp: both are set by the rounding of the argument 2 pi l t.
+    exponentials and J B complex products per position, all in one multiply with no
+    J x B temporary; the columns past f_C are the last block's padding. The error is
+    that of the direct exp: both are set by the rounding of the argument 2 pi l t.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     b, w = _factors(f_c)
     e = np.exp(np.multiply.outer(t, w))
-    full = (f_c + 1) // b * b
-    np.multiply(e[:, b:b + full // b, None], e[:, None, :b], out=out[:, :full].reshape(t.size, -1, b))
-    np.multiply(e[:, -1:], e[:, :f_c + 1 - full], out=out[:, full:])
-    return out
+    np.multiply(e[:, b:, None], e[:, None, :b], out=out.reshape(t.size, -1, b))
+    return out[:, :f_c + 1]
 
 
 @dataclass(frozen=True)
@@ -135,9 +140,8 @@ def spike_fourier(x: SpikeTrain, f_c: int) -> Spectrum:
     """
     if f_c < 1:
         raise ValueError("f_c must be >= 1")
-    cols = np.empty((f_c + 1, x.positions.size), dtype=complex)
-    phasor_rows(f_c, -x.positions, cols.T)
-    half = cols @ x.amplitudes
+    cols = np.empty((phasor_width(f_c), x.positions.size), dtype=complex)
+    half = phasor_rows(f_c, -x.positions, cols.T).T @ x.amplitudes
     return Spectrum(f_c, np.concatenate([np.conj(half[:0:-1]), half]))
 
 
@@ -205,7 +209,7 @@ def eval_grid(s: Spectrum, m: int) -> np.ndarray:
 
 def eval_point(s: Spectrum, t: float) -> float:
     """Evaluate the real signal at one position: the weighted half band dotted with a phasor row."""
-    row = phasor_rows(s.f_c, t, np.empty((1, s.f_c + 1), dtype=complex))[0]
+    row = phasor_rows(s.f_c, t, np.empty((1, phasor_width(s.f_c)), dtype=complex))[0]
     return float((half_band(s.f_c)[1] * s.coeffs[s.f_c:] @ row).real)
 
 

@@ -213,6 +213,26 @@ class TestBuildKernel:
         assert kernel.concentration >= lam - 1e-12
         assert int(np.argmax(values)) == 0
 
+    @pytest.mark.parametrize("f_c", [1, 2, 50, 1000, 4000])
+    def test_matches_tridiagonal_eigensolver(self, f_c):
+        # Inverse iteration against LAPACK's eigensolver on the commuting matrix,
+        # sign-fixed and symmetrized alike, at every valid c on a 0.5 grid to 20.
+        n = 2 * f_c + 1
+        for c in np.arange(0.5, 20.25, 0.5):
+            if not c / n < 0.5:
+                continue
+            k = np.arange(n, dtype=float)
+            diag = ((n - 1) / 2.0 - k) ** 2 * np.cos(2.0 * np.pi * c / n)
+            off = k[1:] * (n - k[1:]) / 2.0
+            _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1))
+            vec = 0.5 * (vecs[:, 0] + vecs[::-1, 0])
+            vec /= np.linalg.norm(vec)
+            if vec.sum() < 0.0:
+                vec = -vec
+            kernel = build_kernel(f_c, c)
+            assert kernel.ghat.min() > 0.0, c
+            assert np.abs(kernel.ghat - vec).max() < 1e-12, c
+
     def test_spectrum_is_built_once(self):
         kernel = build_kernel(50, 1.5)
         spectrum = kernel.spectrum()
@@ -232,6 +252,21 @@ class TestBuildKernel:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
+
+    def test_library_loads_no_scipy(self):
+        # numpy is the library's only runtime dependency: scipy's import alone would
+        # be most of a cold process's set-up time.
+        code = (
+            "import sys, superres, superres.cli; superres.build_kernel(50, 1.5); "
+            "superres.build_kernel(1000, 2.25)\n"
+            "try:\n    superres.cli.main(['solve', '--help'])\nexcept SystemExit:\n    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+        )
+        src = str(Path(superres.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert "usage:" in out.stdout
+        assert out.stderr.strip() == "[]"
 
     def test_concentration_close_to_one(self):
         # the whole point of the kernel: most energy inside [-sigma, sigma]

@@ -24,6 +24,7 @@ from superres.spectral import (
     load_spectrum_csv,
     _factors,
     phasor_rows,
+    phasor_width,
     pointwise_mul,
     save_spectrum_csv,
     smooth_len,
@@ -332,15 +333,18 @@ class TestPhasors:
     @pytest.mark.parametrize("f_c", F_CS)
     def test_matches_direct_exp(self, f_c):
         ref = np.exp(2j * np.pi * np.outer(self.TS, np.arange(f_c + 1)))
-        e = phasor_rows(f_c, self.TS, np.empty(ref.shape, dtype=complex))
+        e = phasor_rows(f_c, self.TS, np.empty((self.TS.size, phasor_width(f_c)), dtype=complex))
         assert np.abs(e - ref).max() <= 16 * (f_c + 1) * np.finfo(float).eps
 
     @pytest.mark.parametrize("f_c", F_CS)
     def test_rows_are_the_transposed_phasors_bit_for_bit(self, f_c):
-        # Written into the top rows of a taller array, as build_G does, leaving the rest.
-        out = np.full((self.TS.size + 2, f_c + 1), 7.0 + 0j)
-        rows = out[: self.TS.size]
-        assert phasor_rows(f_c, self.TS, rows) is rows
+        # Written into the top rows of a taller array, as build_G does, leaving the rest;
+        # the result is the view on the first f_C + 1 columns, whole blocks past them.
+        width = phasor_width(f_c)
+        assert f_c + 1 <= width < f_c + 1 + _factors(f_c)[0]
+        out = np.full((self.TS.size + 2, width), 7.0 + 0j)
+        rows = phasor_rows(f_c, self.TS, out[: self.TS.size])
+        assert rows.base is out and rows.shape == (self.TS.size, f_c + 1)
         assert np.array_equal(rows, phasors(f_c, self.TS).T)
         assert (out[self.TS.size:] == 7.0).all()
 
