@@ -51,13 +51,19 @@ def hausdorff(a, b) -> float:
 
 
 def separation(tau) -> float:
-    """Minimum pairwise wraparound distance, in O(K log K): the closest pair are
-    neighbours in sorted order (the last and the first too), in rounding as well.
-    The gaps d of sorted positions in [0, 1) need no reduction mod 1, and rounding
-    is monotone, so min(d.min(), 1 - d.max()) equals wrap_dist over neighbouring
-    pairs bit for bit."""
+    """Minimum pairwise wraparound distance, in O(K log K): `sorted_separation` of the
+    positions reduced mod 1 and sorted."""
     tau = np.sort(wrap(np.atleast_1d(np.asarray(tau, dtype=float))))
     if tau.size < 2:
         raise ValueError("separation undefined")
+    return sorted_separation(tau)
+
+
+def sorted_separation(tau: np.ndarray) -> float:
+    """`separation` of at least two sorted positions in [0, 1), which it does not check:
+    the closest pair are neighbours in sorted order (the last and the first too), in
+    rounding as well. The gaps d of sorted positions in [0, 1) need no reduction mod 1,
+    and rounding is monotone, so min(d.min(), 1 - d.max()) equals wrap_dist over
+    neighbouring pairs bit for bit."""
     d, last = tau[1:] - tau[:-1], tau[-1] - tau[0]
     return float(min(d.min(), 1.0 - d.max(), last, 1.0 - last))

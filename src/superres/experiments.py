@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ HESS_CHECK_RTOL = 1e-4
 EXACT_RECOVERY_ERR = 1e-6
 FAILED_TRIAL_ERR = 0.5  # maximum possible wraparound distance
 GRADCHECK_K = (1, 3, 7)  # spike counts gradcheck cycles through
+_EMPTY = np.empty(0)  # TrialRecord's default arrays: one, read-only, shared
+_EMPTY.setflags(write=False)
 
 
 class ConfigError(ValueError):
@@ -65,8 +67,7 @@ class ExperimentConfig:
         checked_kernel(self.f_c, self.c2, "c2")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     seed: int
     nu: float
     hausdorff_err: float
@@ -75,10 +76,10 @@ class TrialRecord:
     reseeds: int  # re-seed rounds in phase 2
     runtime_ms: float  # the whole trial, sampling included
     sample_ms: float  # instance, its spectrum and the noise when nu > 0
-    tau_estimate: np.ndarray = field(default_factory=lambda: np.array([]))
-    tau_true: np.ndarray = field(default_factory=lambda: np.array([]))
+    tau_estimate: np.ndarray = _EMPTY
+    tau_true: np.ndarray = _EMPTY
     # phase 2's final box centres: phase-1 and re-seed picks (solution.peaks holds phase 1's)
-    tau_init: np.ndarray = field(default_factory=lambda: np.array([]))
+    tau_init: np.ndarray = _EMPTY
     solution: Solution | None = None  # None when the trial raised
 
 
@@ -158,7 +159,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, nu: float) -> TrialRecord:
 
     k_tilde = reseeds = 0
     status, err = "error", FAILED_TRIAL_ERR
-    estimate = tau_init = np.array([])
+    estimate = tau_init = _EMPTY
     try:
         # The spike count is known, so the scan keeps the k largest peaks (eta = 0).
         solution = solve(y, cached_kernel(cfg.f_c, cfg.c1), cached_kernel(cfg.f_c, cfg.c2),
@@ -223,8 +224,7 @@ def summarize(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> list[tup
     return rows
 
 
-@dataclass(frozen=True)
-class GradCheckReport:
+class GradCheckReport(NamedTuple):
     n_points: int
     max_grad_rel_err: float
     max_hess_rel_err: float

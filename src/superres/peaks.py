@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class PeakConfig:
             raise ValueError("max_peaks must be >= 1")
 
 
-@dataclass(frozen=True)
-class PeakResult:
+class PeakResult(NamedTuple):
     """Estimated spike count and initial positions."""
 
     k_tilde: int

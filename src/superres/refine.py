@@ -16,7 +16,7 @@ the square root of its `spectral.half_band` weight w_l, and each product is a
 real one over the interleaved real and imaginary parts. Kernel 2 fixes sqrt(w)
 ghat2 and 2 pi i l (`SlepianKernel.weighted_half_band`), a solve sqrt(w) zhat
 (`_Problem`). At each point `build_G` writes the atoms sqrt(w) G^T and their
-derivatives sqrt(w) (2 pi i l) G^T, with `spectral.phasor_rows`, straight
+derivatives sqrt(w) (2 pi i l) G^T, with `spectral.write_phasors`, straight
 into one 2K x (f_C + 1) matrix Y. With V its real view, one product Q = V V^T holds
 the Gram matrix, G* (2 pi i l) G and -G* (2 pi i l)^2 G as its blocks, and one
 product of V's lower half with the residual and its derivative gives the two
@@ -27,17 +27,17 @@ r and F are direct sums over the band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, inv
 from numpy.linalg import solve as solve_linear
 
-from .circle import positions, separation, wrap, wrap_signed
+from .circle import positions, sorted_separation, wrap, wrap_signed
 from .peaks import PeakConfig, PeakResult, find_peaks, greedy_scan
 from .slepian import SlepianKernel
-from .spectral import Spectrum, half_band, phasor_rows
+from .spectral import Spectrum, half_band, write_phasors
 
 HESS_ASYM_RTOL = 1e-8
 FEAS_TOL = 1e-12
@@ -58,8 +58,7 @@ class DegenerateDictionaryError(ValueError):
     """Candidate positions too close for a well-posed least-squares system."""
 
 
-@dataclass(frozen=True)
-class _Problem:
+class _Problem(NamedTuple):
     """A phase-2 solve's fixed data on the half band l = 0 .. f_C. Rows are weighted by
     sqrt(w_l) (`spectral.half_band`), so Re sum_{l >= 0} of the product of two rows,
     one of them conjugated, is their full-band sum. sqrt_w, ghat and ls are kernel 2's
@@ -69,6 +68,7 @@ class _Problem:
     sqrt_w: np.ndarray  # sqrt(w_l)
     ghat: np.ndarray  # sqrt(w_l) ghat2[l], complex so that products with phasors need no cast
     ls: np.ndarray  # 2 pi i l; both run on with zeros over the last phasor block
+    ls_band: np.ndarray  # ls[:f_C + 1], the residual's length
     z: np.ndarray  # sqrt(w_l) zhat[l] as interleaved real and imaginary parts, or empty
 
 
@@ -77,7 +77,7 @@ def _problem(kernel: SlepianKernel, zhat: np.ndarray | None = None) -> _Problem:
     if zhat is not None and len(zhat) != kernel.f_c + 1:
         raise ValueError("measurement and kernel cut-off frequencies differ")
     sqrt_w, ghat, ls = kernel.weighted_half_band
-    return _Problem(f_c=kernel.f_c, sqrt_w=sqrt_w, ghat=ghat, ls=ls,
+    return _Problem(f_c=kernel.f_c, sqrt_w=sqrt_w, ghat=ghat, ls=ls, ls_band=ls[:sqrt_w.size],
                     z=np.empty(0) if zhat is None else (sqrt_w * zhat).view(float))
 
 
@@ -102,17 +102,15 @@ class BoxConstraint:
         object.__setattr__(self, "center", center)
         if not 0.0 < self.radius < 0.25:
             raise ValueError("radius must lie in (0, 1/4)")
-        if center.size > 1 and separation(center) <= 2.0 * self.radius:
+        if center.size > 1 and sorted_separation(np.sort(center)) <= 2.0 * self.radius:
             raise ValueError("box centers must be separated by more than twice the radius")
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
+class NewtonConfig(NamedTuple):
     max_iter: int = 100
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     tau_tilde: np.ndarray
     beta: np.ndarray
     f_trace: np.ndarray
@@ -127,7 +125,7 @@ def build_G(rho, kernel: SlepianKernel | _Problem) -> DictionaryMatrix:
     """Modulated dictionary G[l, i] = ghat[l] e^{-i 2 pi l rho[i]} (l >= 0), stacked
     with its derivatives and weighted as Y, with the products Q = V V^T of its real
     view V and the Gram inverse. kernel is kernel 2 or a solve's `_Problem` at it. The
-    phasors are written straight into Y's rows (`spectral.phasor_rows`).
+    phasors are written straight into Y's rows (`spectral.write_phasors`).
 
     The dictionary is degenerate unless every diagonal entry of the Gram inverse lies
     in (0, 1e6]. 1 / (G^-1)_ii is atom i's squared distance from the span of the
@@ -142,9 +140,10 @@ def _dictionary(prob: _Problem, rho: np.ndarray) -> DictionaryMatrix:
     """`build_G` at finite positions rho, not reduced mod 1: the phasors are 1-periodic."""
     k = rho.size
     rows = np.empty((2 * k, prob.ghat.size), dtype=complex)  # whole blocks past f_C
-    phasor_rows(prob.f_c, -rho, rows[:k])
-    rows[:k] *= prob.ghat
-    np.multiply(rows[:k], prob.ls, out=rows[k:])
+    top = rows[:k]
+    write_phasors(prob.f_c, -rho, top)
+    top *= prob.ghat
+    np.multiply(top, prob.ls, out=rows[k:])
     v = rows[:, :prob.f_c + 1].view(float)  # strided: the product reads it in place
     q = v @ v.T
     # Exact duplicates make the Gram singular; near-duplicates leave it numerically
@@ -167,30 +166,32 @@ def least_squares_beta(d: DictionaryMatrix, zhat: Spectrum) -> np.ndarray:
     return _beta(d, (np.sqrt(half_band(zhat.f_c)[1]) * zhat.coeffs[zhat.f_c:]).view(float))
 
 
-@dataclass(frozen=True)
-class _Point:
+class _Point(NamedTuple):
     """The least-squares state at one position vector: F and its derivatives read it."""
 
     d: DictionaryMatrix
     beta: np.ndarray
-    r: np.ndarray  # sqrt(w) (zhat - G beta), l >= 0, as interleaved real and imaginary parts
+    # row 0: r = sqrt(w) (zhat - G beta), l >= 0, as interleaved real and imaginary parts;
+    # row 1: 2 pi i l r, written by `_gradient`
+    rr: np.ndarray
     f: float
 
 
 def _evaluate(prob: _Problem, rho: np.ndarray) -> _Point:
     d = _dictionary(prob, rho)
     beta = _beta(d, prob.z)
-    r = prob.z - beta @ d.V[: beta.size]
-    return _Point(d=d, beta=beta, r=r, f=float(r @ r))
+    rr = np.empty((2, prob.z.size))
+    r = rr[0]
+    np.subtract(prob.z, beta @ d.V[: beta.size], out=r)
+    return _Point(d, beta, rr, float(r @ r))
 
 
 def _gradient(prob: _Problem, p: _Point) -> tuple[np.ndarray, np.ndarray]:
     """The gradient and w, the product of V's lower half with r and with 2 pi i l r: its
     rows are -Re G* (2 pi i l) r and -Re G* (2 pi i l)^2 r, which the Hessian reuses."""
-    rrl = np.empty((2, p.r.size))
-    rrl[0] = p.r
-    np.multiply(prob.ls[:prob.f_c + 1], p.r.view(complex), out=rrl[1].view(complex))
-    w = rrl @ p.d.V[p.beta.size:].T
+    rr = p.rr
+    np.multiply(prob.ls_band, rr[0].view(complex), out=rr[1].view(complex))
+    w = rr @ p.d.V[p.beta.size:].T
     return 2.0 * p.beta * w[0], w
 
 
@@ -199,13 +200,16 @@ def _hessian(p: _Point, w: np.ndarray) -> np.ndarray:
     of each term, so the symmetrized Hessian is h + h^T."""
     b, q = p.beta, p.d.Q
     k = b.size
-    h = b[:, None] * q[k:, k:] * b
+    column = b[:, None]
+    h = column * q[k:, k:] * b
     h.reshape(-1)[:: k + 1] += b * w[1]  # the diagonals, as strided views
-    bracket = b[:, None] * q[:k, k:]
+    bracket = column * q[:k, k:]
     bracket.reshape(-1)[:: k + 1] += w[0]
     h -= bracket @ p.d.gram_inv @ bracket.T
 
-    asym = np.abs(h - h.T).max()
+    # h - h^T rounds to an antisymmetric matrix (x - y is -(y - x) bit for bit), so its
+    # max is its largest |entry|, NaN included
+    asym = (h - h.T).max()
     scale = max(np.abs(h).max(), 1e-300)
     if asym > HESS_ASYM_RTOL * scale:
         raise ValueError("Hessian asymmetry residue exceeds tolerance")
@@ -257,14 +261,14 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
     the free block has no Cholesky factor (`numpy.linalg.cholesky`, which is the
     positive-definiteness test); max_iter when cfg.max_iter ran out.
     """
-    r = box.radius
-    u = wrap_signed(np.atleast_1d(np.asarray(tau0, dtype=float)), box.center)
-    if np.any(np.abs(u) > r + FEAS_TOL):
+    r, center = box.radius, box.center
+    u = wrap_signed(np.atleast_1d(np.asarray(tau0, dtype=float)), center)
+    if np.abs(u).max() > r + FEAS_TOL:  # False for NaN, as np.any of the comparison
         raise ValueError("infeasible point")
     eta_stop = 1e-12 * math.sqrt(u.size)
     eps = r / 2.0
 
-    p = _evaluate(prob, box.center + u)
+    p = _evaluate(prob, center + u)
     f_trace = [p.f]
     status = STATUS_MAX_ITER
     iterations = 0
@@ -288,7 +292,7 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
             else:
                 v[free] = solve_linear(block, grad[free])
 
-        cand = np.minimum(np.maximum(u - v, -r), r)  # the projected full step
+        cand = (u - v).clip(-r, r)  # the projected full step
         step = u - cand
         step_norm = math.sqrt(step @ step)
         if step_norm <= eta_stop or grad @ step <= PRED_RTOL * p.f:
@@ -296,12 +300,12 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
             break
         eps = min(step_norm, r)
 
-        rho_u = box.center + u
+        rho_u = center + u
         for m in range(MAX_BACKTRACKS + 1):
             lam = 2.0**-m
             if m:
-                cand = np.minimum(np.maximum(u - lam * v, -r), r)
-            rho = box.center + cand
+                cand = (u - lam * v).clip(-r, r)
+            rho = center + cand
             if (rho == rho_u).all():  # rounds to the iterate: F is unchanged
                 continue
             q = _evaluate(prob, rho)
@@ -317,13 +321,13 @@ def _newton(prob: _Problem, tau0, box: BoxConstraint,
         grad = _gradient(prob, p)[0]
 
     return SolveReport(
-        tau_tilde=wrap(box.center + u),
+        tau_tilde=wrap(center + u),
         beta=p.beta,
         f_trace=np.asarray(f_trace),
         grad_norm_final=math.sqrt(grad @ grad),  # as np.linalg.norm computes it
         status=status,
         iterations=iterations,
-        centres=box.center,
+        centres=center,
     ), p
 
 
@@ -362,12 +366,12 @@ def solve_phase2(y: Spectrum, tau0, kernel1: SlepianKernel,
             break
         keep = np.arange(report.beta.size) != np.argmin(np.abs(report.beta))
         centres, tau = report.centres[keep], report.tau_tilde[keep]
-        pick = greedy_scan(p.r.view(complex) / prob.sqrt_w, radius, 1,
+        pick = greedy_scan(p.rr[0].view(complex) / prob.sqrt_w, radius, 1,
                            taken=np.append(centres, tau)).tau0
         if not pick.size:
             break
         centres, tau = np.append(centres, pick), np.append(tau, pick)
-    return replace(report, reseeds=reseeds)
+    return report._replace(reseeds=reseeds)
 
 
 class Solution(NamedTuple):

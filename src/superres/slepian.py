@@ -115,9 +115,10 @@ def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     the residual norm, so it stays at or above lambda_max and mu I - T positive
     definite: `_shifted_solve` needs no pivoting, and a pivot that is not positive ends
     the loop with the last vector. The loop also ends, keeping the new vector, when the
-    residual stops falling. T's top eigenvector is its only one-signed one (T is
-    irreducible and its off-diagonals are positive), so a positive result certifies
-    that the vector is the top one.
+    residual stops falling. The result must be an eigenvector, its residual norm at most
+    64 eps (max |diag| + 2 max off), a small multiple of the rounding in T x; and T's top
+    eigenvector is its only one-signed one (T is irreducible and its off-diagonals are
+    positive), so a positive result certifies that the eigenvector is the top one.
     """
     bound = diag.copy()
     bound[1:] += off
@@ -138,7 +139,10 @@ def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         if not r < res:
             break
         res, mu, b = r, rho + r, x.tolist()
-    if x is None or not x.min() > 0.0:
+    tol = 64.0 * np.finfo(float).eps * (np.abs(diag).max() + 2.0 * off.max())
+    if x is None or not r <= tol:
+        raise ArithmeticError("inverse iteration did not converge to an eigenvector")
+    if not x.min() > 0.0:
         raise ArithmeticError("inverse iteration did not give a one-signed eigenvector")
     return x
 

@@ -9,8 +9,10 @@ both over l >= 0 only (see `half_band`).
 
 Phasors e^{2 pi i l t}, l = 0 .. f_C, are built from about 2 sqrt(N)
 exponentials: with l = j B + k, B = isqrt(f_C) + 1, each is the product of
-e^{2 pi i j B t} and e^{2 pi i k t}. `phasor_rows` is the one builder: the
-dictionary, `spike_fourier` and `eval_point` each hand it their own buffer.
+e^{2 pi i j B t} and e^{2 pi i k t}. `phasor_rows` is the one builder:
+`spike_fourier` and `eval_point` each hand it their own buffer, and the
+dictionary, whose positions are already a float array, hands its buffer to the
+core, `write_phasors`, which skips the conversion.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circle import positions, separation
+from .circle import positions, sorted_separation
 
 HERMITIAN_RTOL = 1e-12
 
@@ -73,10 +75,15 @@ def phasor_rows(f_c: int, t, out: np.ndarray) -> np.ndarray:
     that of the direct exp: both are set by the rounding of the argument 2 pi l t.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    write_phasors(f_c, t, out)
+    return out[:, :f_c + 1]
+
+
+def write_phasors(f_c: int, t: np.ndarray, out: np.ndarray) -> None:
+    """`phasor_rows` at a 1-D float array t, taken as it is: no conversion, no return."""
     b, w = _factors(f_c)
     e = np.exp(np.multiply.outer(t, w))
     np.multiply(e[:, b:, None], e[:, None, :b], out=out.reshape(t.size, -1, b))
-    return out[:, :f_c + 1]
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class SpikeTrain:
             raise ValueError("positions and amplitudes must have equal length")
         if not np.isfinite(amp).all():
             raise ValueError("amplitudes must be finite")
-        if pos.size > 1 and separation(pos) == 0.0:
+        if pos.size > 1 and sorted_separation(np.sort(pos)) == 0.0:  # pos is wrapped
             raise ValueError("positions must be distinct")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "amplitudes", amp)
@@ -116,12 +123,15 @@ class Spectrum:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.shape != (2 * self.f_c + 1,):
             raise ValueError("coeffs must have length 2*f_c + 1")
-        if not np.isfinite(coeffs).all():  # NaN would pass the Hermitian test below
+        # |c| is C99 hypot: inf if either part is, else NaN if either part is, so every
+        # non-finite entry fails here (NaN would pass the Hermitian test below)
+        top = np.abs(coeffs).max()
+        if not top < np.inf:
             raise ValueError("coefficients must be finite")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-        scale = max(np.abs(coeffs).max(), 1e-300)
+        scale = max(top, 1e-300)
         # |c[l] - conj(c[-l])| is |c[-l] - conj(c[l])| bit for bit, so l >= 0 suffices
         if np.abs(coeffs[self.f_c:] - coeffs[self.f_c::-1].conj()).max() > HERMITIAN_RTOL * scale:
             raise ValueError("coefficients are not Hermitian-symmetric")

@@ -9,6 +9,7 @@ from superres.circle import (
     hausdorff,
     positions,
     separation,
+    sorted_separation,
     wrap,
     wrap_dist,
     wrap_signed,
@@ -148,6 +149,16 @@ class TestSeparation:
     def test_fewer_than_two_raises(self):
         with pytest.raises(ValueError, match="separation"):
             separation([0.5])
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=12).map(np.array))
+    @example(np.array([0.0, 1.0, 0.5]))  # 1.0 wraps onto 0.0
+    @example(np.array([-1e-20, 0.5, 0.999]))  # rounds to 1.0, which wrap maps to 0.0
+    @example(np.array([0.3, 0.7, 0.3, 1.3]))  # duplicates, one a turn away
+    @example(np.array([CELL_575, 0.9, CELL_671]))
+    def test_sorted_separation_of_wrapped_sorted_positions_bit_for_bit(self, pts):
+        # BoxConstraint and SpikeTrain hold wrapped positions and call the helper on
+        # them sorted; wrap is idempotent, so that is separation of the raw input.
+        assert sorted_separation(np.sort(wrap(pts))) == separation(pts)
 
     @given(st.lists(unit, min_size=2, max_size=8).map(np.array), unit)
     @settings(max_examples=50)

@@ -1,7 +1,9 @@
 """Experiment harness and command-line interface."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 from dataclasses import fields, is_dataclass
 
@@ -16,6 +18,7 @@ from superres.experiments import (
     EXACT_RECOVERY_ERR,
     ConfigError,
     ExperimentConfig,
+    TrialRecord,
     cached_kernel,
     gradcheck,
     run_monte_carlo,
@@ -438,7 +441,8 @@ class TestCli:
             report = SolveReport(tau_tilde=tau0, beta=np.zeros(tau0.size),
                                  f_trace=np.array([0.0]), grad_norm_final=0.0,
                                  status=status, iterations=1, centres=tau0)
-            return report, superres.refine._Point(d=None, beta=report.beta, r=prob.z,
+            rr = np.stack([prob.z, np.zeros_like(prob.z)])  # row 1 is `_gradient`'s
+            return report, superres.refine._Point(d=None, beta=report.beta, rr=rr,
                                                   f=float(prob.z @ prob.z))
 
         monkeypatch.setattr(superres.refine, "_newton", fixed_status)
@@ -608,3 +612,28 @@ class TestCli:
         assert main(["gradcheck", "--n-points", "3"]) == 0
         out = capsys.readouterr().out
         assert "gradient relative error" in out
+
+
+class TestRecordTypes:
+    VALIDATING = {"Spectrum", "SpikeTrain", "SlepianKernel", "PeakConfig", "BoxConstraint",
+                  "ExperimentConfig"}
+    RECORDS = {"_Problem", "_Point", "DictionaryMatrix", "Solution", "SolveReport",
+               "NewtonConfig", "PeakResult", "TrialRecord", "GradCheckReport"}
+
+    def test_only_the_validating_types_are_dataclasses(self):
+        # A record is a NamedTuple: a frozen dataclass execs its generated methods at
+        # import and sets each field through object.__setattr__ on every instance. A
+        # dataclass stays where __post_init__ checks or converts the input.
+        classes = {obj for info in pkgutil.iter_modules(superres.__path__)
+                   for obj in vars(importlib.import_module(f"superres.{info.name}")).values()
+                   if isinstance(obj, type) and obj.__module__ == f"superres.{info.name}"}
+        assert {c.__name__ for c in classes if is_dataclass(c)} == self.VALIDATING
+        assert {c.__name__ for c in classes
+                if issubclass(c, tuple) and hasattr(c, "_fields")} == self.RECORDS
+
+    def test_trial_record_defaults_are_one_read_only_array(self):
+        record = TrialRecord(seed=0, nu=0.0, hausdorff_err=0.5, k_tilde=0, status="error",
+                             reseeds=0, runtime_ms=0.0, sample_ms=0.0)
+        assert record.tau_estimate is record.tau_true is record.tau_init
+        assert record.tau_init.shape == (0,) and not record.tau_init.flags.writeable
+        assert record.solution is None

@@ -1,7 +1,6 @@
 """Projected Newton refinement: dictionary, derivatives, projection, solver."""
 
 import tracemalloc
-from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -408,6 +407,33 @@ class TestDerivatives:
         hess = hessian_F(self.rho, kernel2, zhat)
         assert np.linalg.eigvalsh(hess).min() > 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 14), seed=st.integers(0, 2**32 - 1), bad=st.integers(0, 3))
+    @example(k=2, seed=0, bad=0)
+    @example(k=3, seed=1, bad=3)
+    def test_asymmetry_residue_is_the_largest_entry(self, k, seed, bad):
+        # `_hessian` reads its residue as (h - h^T).max(): h - h^T rounds to an
+        # antisymmetric matrix, so that is np.abs(h - h^T).max(), with NaN and inf
+        # entries of h too. Magnitudes span 1e-300 .. 1e300.
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((k, k)) * 10.0 ** rng.integers(-300, 301, (k, k))
+        h.flat[rng.choice(k * k, min(bad, k * k), replace=False)] = rng.choice(
+            [np.nan, np.inf, -np.inf], min(bad, k * k))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            a = h - h.T
+        assert np.array_equal(a.max(), np.abs(a).max(), equal_nan=True)
+
+    def test_asymmetric_hessian_raises(self, kernel2):
+        zhat = filtered_spikes(kernel2, self.tau, self.alpha)
+        prob = superres.refine._problem(kernel2, zhat.coeffs[F_C:])
+        p = superres.refine._evaluate(prob, self.rho)
+        w = superres.refine._gradient(prob, p)[1]
+        superres.refine._hessian(p, w)
+        q = p.d.Q.copy()
+        q[3, 4] += 1e-4 * np.abs(q).max()  # Q[k:, k:][0, 1]: h[0, 1] moves, h[1, 0] not
+        with pytest.raises(ValueError, match="asymmetry"):
+            superres.refine._hessian(p._replace(d=p.d._replace(Q=q)), w)
+
 
 class TestFullBandOracle:
     @pytest.fixture(params=[50, 1000], scope="class")
@@ -667,7 +693,7 @@ class TestRunNewton:
         def flat(prob, rho):
             points.append(np.array(rho))
             p = evaluate(prob, rho)
-            return replace(p, f=max(p.f, f0))
+            return p._replace(f=max(p.f, f0))
 
         monkeypatch.setattr(superres.refine, "_evaluate", flat)
         report = run_newton(tau0, kernel2, zhat, box)
@@ -803,7 +829,7 @@ class TestRunNewton:
 
             def flat(prob, rho):
                 p = evaluate(prob, rho)
-                return replace(p, f=max(p.f, f0))
+                return p._replace(f=max(p.f, f0))
 
             monkeypatch.setattr(superres.refine, "_evaluate", flat)
         elif exit_ == STATUS_MAX_ITER:
@@ -829,10 +855,11 @@ def newton_stub(report_of):
     centres are the box's, as `_newton` reports them, and its final point holds the
     report's amplitudes and their residual, as `_evaluate` forms it."""
     def stub(prob, tau, box, cfg):
-        report = replace(report_of(tau), centres=box.center)
+        report = report_of(tau)._replace(centres=box.center)
         d = build_G(report.tau_tilde, prob)
         r = prob.z - report.beta @ d.V[: report.beta.size]
-        return report, superres.refine._Point(d=d, beta=report.beta, r=r, f=float(r @ r))
+        rr = np.stack([r, np.zeros_like(r)])  # row 1 is `_gradient`'s
+        return report, superres.refine._Point(d=d, beta=report.beta, rr=rr, f=float(r @ r))
     return stub
 
 
@@ -849,8 +876,8 @@ class TestSolvePhase2:
         direct = run_newton(tau0, kernel2, pointwise_mul(y, kernel2.spectrum()),
                             BoxConstraint(tau0, kernel1.sigma), NewtonConfig())
         assert result.reseeds == 0 and np.array_equal(result.centres, tau0)
-        for f in fields(SolveReport):
-            assert np.array_equal(getattr(result, f.name), getattr(direct, f.name)), f.name
+        for name in SolveReport._fields:
+            assert np.array_equal(getattr(result, name), getattr(direct, name)), name
 
     def test_linalg_call_budget(self, kernel2, example, monkeypatch):
         # numpy's checked wrappers cost several microseconds a call at K = 14, so

@@ -233,6 +233,22 @@ class TestBuildKernel:
             assert kernel.ghat.min() > 0.0, c
             assert np.abs(kernel.ghat - vec).max() < 1e-12, c
 
+    @pytest.mark.parametrize("f_c,c", [(1, 1.0), (50, 1.5), (1000, 2.25)])
+    def test_unconverged_vector_raises(self, f_c, c, monkeypatch):
+        # One-signed proves "top" only for an eigenvector. The first vector of the
+        # iteration, from the Gershgorin shift, is positive but far from converged:
+        # when the second solve reports a non-positive pivot, the build must raise.
+        solve, calls = superres.slepian._shifted_solve, []
+
+        def second_fails(*args):
+            calls.append(None)
+            return solve(*args) if len(calls) == 1 else None
+
+        monkeypatch.setattr(superres.slepian, "_shifted_solve", second_fails)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            build_kernel(f_c, c)
+        assert len(calls) == 2
+
     def test_spectrum_is_built_once(self):
         kernel = build_kernel(50, 1.5)
         spectrum = kernel.spectrum()

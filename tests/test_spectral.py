@@ -30,6 +30,7 @@ from superres.spectral import (
     smooth_len,
     spike_fourier,
     synth_noise,
+    write_phasors,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -148,12 +149,16 @@ class TestSpectrum:
             with pytest.raises(ValueError, match="Hermitian"):
                 Spectrum(50, c)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), -np.inf,
+                                     complex(np.nan, np.inf), complex(np.inf, np.nan),
+                                     complex(0.0, -np.inf)])
     def test_non_finite_coefficients_raise(self, bad):
-        # NaN compares false, so it would pass the Hermitian test
+        # NaN compares false, so it would pass the Hermitian test. One max of |c| is
+        # the finiteness test and the Hermitian test's scale: |c| is C99 hypot, inf
+        # when either part is, even beside a NaN.
         coeffs = spike_fourier(SpikeTrain([0.3], [1.0]), 50).coeffs.copy()
         coeffs[50] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
             Spectrum(50, coeffs)
 
     def test_coeffs_read_only(self):
@@ -347,6 +352,15 @@ class TestPhasors:
         assert rows.base is out and rows.shape == (self.TS.size, f_c + 1)
         assert np.array_equal(rows, phasors(f_c, self.TS).T)
         assert (out[self.TS.size:] == 7.0).all()
+
+    @pytest.mark.parametrize("f_c", F_CS)
+    def test_write_phasors_is_phasor_rows_bit_for_bit(self, f_c):
+        # The dictionary's path: the same rows, written from a float array as given.
+        out, core = (np.empty((self.TS.size, phasor_width(f_c)), dtype=complex)
+                     for _ in range(2))
+        phasor_rows(f_c, list(self.TS), out)
+        assert write_phasors(f_c, self.TS, core) is None
+        assert np.array_equal(core, out)
 
     @pytest.mark.parametrize("f_c", F_CS)
     def test_spike_fourier_half_band_is_the_phasor_product_bit_for_bit(self, f_c):
